@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .config import (ModelConfig, TrainConfig, model_config_from_dict,
-                     model_config_to_dict, train_config_to_dict)
+from .config import (ModelConfig, SchemaError, TrainConfig,
+                     model_config_from_dict, model_config_to_dict, train_config_to_dict)
 from .geometry import PointCloud, normalize_cloud
 from .tensor import ParamStore
 
@@ -378,9 +378,17 @@ def restore_store(tensors: dict[str, np.ndarray]) -> ParamStore:
 def load_model_checkpoint(path, expect_model: ModelConfig | None = None
                           ) -> tuple[ParamStore, ModelConfig, dict]:
     """Load a checkpoint into a fresh ParamStore; when ``expect_model`` is
-    given, any differing model config raises 'config mismatch'."""
+    given, any differing model config raises 'config mismatch'. A model block
+    that is missing, has an unknown key or an invalid value raises
+    CheckpointError."""
     tensors, config_block = load_checkpoint(path)
-    model_cfg = model_config_from_dict(config_block["model"])
-    if expect_model is not None and model_config_to_dict(expect_model) != config_block["model"]:
+    model_block = config_block.get("model") if isinstance(config_block, dict) else None
+    if not isinstance(model_block, dict):
+        raise CheckpointError(f"{path}: checkpoint has no model config")
+    try:
+        model_cfg = model_config_from_dict(model_block)
+    except SchemaError as exc:
+        raise CheckpointError(f"{path}: bad model config: {exc}") from None
+    if expect_model is not None and model_config_to_dict(expect_model) != model_block:
         raise CheckpointError(f"{path}: config mismatch")
     return restore_store(tensors), model_cfg, config_block

@@ -5,8 +5,9 @@ Each kernel exists twice: a numba ``@njit`` loop and a vectorized pure-numpy
 fallback. Dispatch is controlled by the ``PCMAE_NUMBA`` environment variable
 (``1`` force on, ``0`` force off, anything else / unset = use numba when
 importable). Both paths are written with identical per-element arithmetic so
-they produce bit-identical results; ``benchmarks/bench_kernels.py`` compares
-their speed.
+they produce bit-identical results. ``python3 perfbench/run.py --workload
+pretrain-paper --seed 0 --seconds 25 --trace 1`` reports the time of each
+kernel (``kernels.*.ms``) on the path in use.
 """
 from __future__ import annotations
 
@@ -96,10 +97,25 @@ def _fps_loop(points, g, first):
 # ---------------------------------------------------------------------------
 
 def _knn_numpy(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    diff = queries[:, None, :] - points[None, :, :]
-    d = diff[:, :, 0] * diff[:, :, 0] + diff[:, :, 1] * diff[:, :, 1] + diff[:, :, 2] * diff[:, :, 2]
-    # stable sort: ascending distance, ties broken by lower index
-    return np.argsort(d, axis=1, kind="stable")[:, :k].astype(np.int64)
+    # dx*dx + dy*dy + dz*dz, summed in that order, one coordinate at a time
+    d = None
+    for c in range(3):
+        dc = queries[:, c, None] - points[None, :, c]
+        dc *= dc
+        d = dc if d is None else np.add(d, dc, out=d)
+    # order: ascending distance, ties broken by lower index (a stable sort)
+    if not 0 < k < d.shape[1]:
+        return np.argsort(d, axis=1, kind="stable")[:, :k].astype(np.int64)
+    sel = np.argpartition(d, k - 1, axis=1)[:, :k]
+    d_sel = np.take_along_axis(d, sel, axis=1)
+    out = np.take_along_axis(sel, np.lexsort((sel, d_sel), axis=1), axis=1)
+    # the partition picks arbitrarily among points tied at the k-th distance;
+    # rows where such a tie reaches past the k winners take the full sort
+    kth = d_sel.max(axis=1, keepdims=True)
+    tied = np.count_nonzero(d <= kth, axis=1) != k
+    if tied.any():
+        out[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
+    return out.astype(np.int64)
 
 
 def _knn_loop(points, queries, k):

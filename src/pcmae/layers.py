@@ -33,7 +33,7 @@ def affine(x: Tensor, store: ParamStore, name: str) -> Tensor:
     w = store[f"{name}.w"]
     if x.shape[-1] != w.shape[0]:
         raise ValueError("mlp dimension mismatch")
-    return T.matmul(x, w) + store[f"{name}.b"]
+    return T.affine(x, w, store[f"{name}.b"])
 
 
 def init_linear(store: ParamStore, name: str, n_in: int, n_out: int,
@@ -99,12 +99,7 @@ def init_layer_norm(store: ParamStore, name: str, c: int, dtype=np.float32,
 
 def layer_norm_apply(x: Tensor, gain: Tensor, bias: Tensor | None,
                      eps: float = LAYER_NORM_EPS) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / T.sqrt(var + eps)
-    out = normed * gain
-    return out if bias is None else out + bias
+    return T.layer_norm(x, gain, bias, eps)
 
 
 def layer_norm(x: Tensor, store: ParamStore, name: str) -> Tensor:

@@ -56,8 +56,11 @@ class Tensor:
             return
         g = _unbroadcast(np.asarray(g, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # an owned copy: backward closures hand the same array to several
+            # parents (add) or pass read-only broadcast views (reductions)
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -140,11 +143,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(x, dtype=None) -> Tensor:
-    arr = np.asarray(x, dtype=dtype) if dtype is not None else np.asarray(x)
-    return Tensor(arr)
-
-
 def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -214,15 +212,6 @@ def div(a, b) -> Tensor:
         b._accumulate(-g * a.data / (b.data * b.data))
 
     return _result(data, (a, b), bw)
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        a._accumulate(2.0 * a.data * g)
-
-    return _result(a.data * a.data, (a,), bw)
 
 
 def sqrt(a) -> Tensor:
@@ -309,6 +298,66 @@ def matmul(a, b) -> Tensor:
         b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return _result(data, (a, b), bw)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """View ``a`` as a 2-D [rows, last axis] matrix."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def affine(x, w, b) -> Tensor:
+    """``x @ w + b`` for a 2-D weight ``w`` [c_in, c_out] and bias ``b``
+    [c_out] as one node. The forward runs the same numpy ops as the composite
+    ``matmul`` + ``add``; the backward flattens x's leading axes, so each
+    gradient is one 2-D GEMM (input, weight) or one row sum (bias)."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    data = x.data @ w.data + b.data
+
+    def bw(g):
+        g2 = _rows(g)
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            w._accumulate(_rows(x.data).T @ g2)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+
+    return _result(data, (x, w, b), bw)
+
+
+def layer_norm(x, gain, bias, eps: float) -> Tensor:
+    """Layer norm over the last axis with a gain and a bias (or None), as one
+    node.
+
+    The forward repeats the composite expression's numpy ops in order
+    (mean, centre, mean square, ``sqrt(var + eps)``, divide, scale, shift),
+    so it is bit-identical to it; the backward is the closed form
+    ``(gx - mean(gx) - xhat * mean(gx * xhat)) / std`` with ``gx = g * gain``.
+    """
+    x, gain = as_tensor(x), as_tensor(gain)
+    bias = None if bias is None else as_tensor(bias)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    std = np.sqrt(var + eps)
+    normed = centered / std
+    data = normed * gain.data
+    if bias is not None:
+        data = data + bias.data
+
+    def bw(g):
+        if x.requires_grad:
+            gx = g * gain.data
+            dx = gx - gx.mean(axis=-1, keepdims=True)
+            dx -= normed * (gx * normed).mean(axis=-1, keepdims=True)
+            dx /= std
+            x._accumulate(dx)
+        if gain.requires_grad:
+            gain._accumulate(_rows(g * normed).sum(axis=0))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_rows(g).sum(axis=0))
+
+    return _result(data, (x, gain) if bias is None else (x, gain, bias), bw)
 
 
 # --- shape ops --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, determinism, and exit codes."""
 import json
+import struct
 import subprocess
 import sys
 
@@ -189,6 +190,25 @@ class TestExitCodes:
                    "--checkpoint", str(pretrain_ckpt), "--config", str(cfg),
                    "--epochs", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("change", [{"not_a_key": 1}, {"d": "wide"}],
+                             ids=["unknown_key", "mistyped_value"])
+    def test_bad_checkpoint_model_block_is_data_error(self, dataset, pretrain_ckpt,
+                                                      tmp_path, change):
+        raw = pretrain_ckpt.read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[8:12])
+        block = json.loads(raw[12:12 + blob_len])
+        block["model"].update(change)
+        blob = json.dumps(block, sort_keys=True, separators=(",", ":")).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len:])
+        out = subprocess.run([sys.executable, "-m", "pcmae.cli", "extract",
+                              "--dataset", str(dataset), "--checkpoint", str(bad),
+                              "--out", str(tmp_path / "f.csv")],
+                             capture_output=True, text=True)
+        assert out.returncode == 2, out.stderr
+        assert "data error" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "pcmae.cli", "--help"],

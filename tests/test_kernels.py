@@ -1,4 +1,5 @@
-"""The numba kernels and their numpy fallbacks must agree bit-for-bit."""
+"""The numba kernels and their numpy fallbacks must agree bit-for-bit, and
+k-NN must match a full sort by (distance, index)."""
 import numpy as np
 import pytest
 
@@ -59,6 +60,47 @@ class TestPathEquality:
         for impl in (kernels._fps_numba, kernels._fps_numpy):
             idx = impl(pts, 6, 0)
             assert sorted(idx.tolist()) == list(range(6))
+
+
+def knn_sort_oracle(points, queries, k):
+    """k nearest by a full sort on (squared distance, index)."""
+    out = []
+    for q in queries:
+        diff = points - q
+        d = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] + diff[:, 2] * diff[:, 2]
+        out.append(sorted(range(len(points)), key=lambda i: (d[i], i))[:k])
+    return np.array(out, dtype=np.int64).reshape(len(queries), k)
+
+
+def _tie_clouds():
+    rng = np.random.default_rng(3)
+    axis = np.arange(4.0)
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    duplicated = np.repeat(rng.normal(size=(20, 3)), 3, axis=0)
+    angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    ring = np.concatenate([np.stack([np.cos(angles), np.sin(angles), np.zeros(8)], 1),
+                           2.0 + rng.random((10, 3))])
+    return {
+        "lattice": (lattice, lattice[::5]),                       # shells of 6, 12, 8 ...
+        "duplicated": (duplicated, duplicated[::4] + 1e-3),       # triples straddle k
+        "ring": (ring, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])),
+    }
+
+
+TIE_CLOUDS = _tie_clouds()
+
+
+class TestKnnTies:
+    """Ties that straddle the k-th distance, with k < n and batched queries,
+    so the partial selection and its full-sort fallback both run."""
+
+    @pytest.mark.parametrize("name", list(TIE_CLOUDS))
+    def test_matches_sort_oracle(self, name):
+        points, queries = TIE_CLOUDS[name]
+        for k in (1, 2, 3, 4, 5, 7, 9, 13, len(points) - 1):
+            want = knn_sort_oracle(points, queries, k)
+            assert np.array_equal(kernels._knn_numpy(points, queries, k), want), k
+            assert np.array_equal(kernels.knn_indices(points, queries, k), want), k
 
 
 class TestDispatch:

@@ -84,6 +84,91 @@ class TestLayerNorm:
         assert err < 1e-4
 
 
+def composite_affine(x, w, b):
+    """The affine layer as matmul + add nodes (the unfused oracle)."""
+    return T.matmul(x, w) + b
+
+
+def composite_layer_norm(x, gain, bias, eps):
+    """Layer norm as elementwise and reduction nodes (the unfused oracle)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    normed = centered / T.sqrt(var + eps)
+    out = normed * gain
+    return out if bias is None else out + bias
+
+
+class TestFusedOps:
+    def _store(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        store = ParamStore()
+        for name, shape in shapes.items():
+            store.add(name, rng.normal(size=shape))
+        return store
+
+    def test_affine_gradient_3d(self):
+        store = self._store({"x": (2, 3, 4), "w": (4, 5), "b": (5,), "r": (2, 3, 5)}, 20)
+        store.set_trainable("r", False)
+        err = check_param_gradients(
+            lambda: (T.affine(store["x"], store["w"], store["b"]) * store["r"]).sum(), store)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_layer_norm_gradient_3d(self, with_bias):
+        shapes = {"x": (2, 3, 6), "g": (6,), "r": (2, 3, 6)}
+        if with_bias:
+            shapes["b"] = (6,)
+        store = self._store(shapes, 21)
+        store.set_trainable("r", False)
+        bias = store["b"] if with_bias else None
+        err = check_param_gradients(
+            lambda: (T.layer_norm(store["x"], store["g"], bias, 1e-5) * store["r"]).sum(),
+            store)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bit_identical_to_composite(self, dtype):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(1.0, 3.0, size=(8, 16, 96)).astype(dtype))
+        w = Tensor(trunc_normal(rng, (96, 64), dtype=dtype), requires_grad=True)
+        b = Tensor(rng.normal(size=64).astype(dtype), requires_grad=True)
+        gain = Tensor(rng.normal(size=96).astype(dtype), requires_grad=True)
+        shift = Tensor(rng.normal(size=96).astype(dtype), requires_grad=True)
+        pairs = [(T.affine(x, w, b), composite_affine(x, w, b))]
+        for bias in (shift, None):
+            pairs.append((T.layer_norm(x, gain, bias, 1e-5),
+                          composite_layer_norm(x, gain, bias, 1e-5)))
+        for fused, composite in pairs:
+            assert fused.data.dtype == composite.data.dtype == dtype
+            assert fused.data.tobytes() == composite.data.tobytes()
+
+    def test_gradients_match_composite(self):
+        rng = np.random.default_rng(23)
+        data = {"x": rng.normal(size=(3, 5, 8)), "w": rng.normal(size=(8, 8)),
+                "b": rng.normal(size=8), "g": rng.normal(size=8), "s": rng.normal(size=8)}
+        r = rng.normal(size=(3, 5, 8))
+        grads = []
+        for lin, norm in ((T.affine, T.layer_norm), (composite_affine, composite_layer_norm)):
+            t = {k: Tensor(v.copy(), requires_grad=True) for k, v in data.items()}
+            h = norm(lin(t["x"], t["w"], t["b"]), t["g"], t["s"], 1e-5)
+            (norm(h, t["g"], None, 1e-5) * Tensor(r)).sum().backward()
+            grads.append({k: v.grad for k, v in t.items()})
+        for k in data:
+            np.testing.assert_allclose(grads[0][k], grads[1][k], rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("first_add", [True, False])
+    def test_first_gradient_write_does_not_alias(self, first_add):
+        # add hands one array to both parents; a later write to one of them
+        # must not show up in the other
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        loss = ((a + b) + a * 2.0) if first_add else (a * 2.0 + (a + b))
+        loss.sum().backward()
+        np.testing.assert_array_equal(a.grad, [3.0, 3.0, 3.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+
 class TestPooling:
     def test_max_of_one_hot(self):
         x = np.zeros((2, 5))
