@@ -159,7 +159,7 @@ def _coerce(name: str, value, target_type):
     if target_type is tuple:
         if not isinstance(value, (list, tuple)):
             raise SchemaError(f"config key {name!r}: expected a list, got {value!r}")
-        return tuple(int(v) for v in value)
+        return tuple(_coerce(name, v, int) for v in value)
     return value
 
 

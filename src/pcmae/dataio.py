@@ -179,7 +179,7 @@ def sample_shape(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown shape class: {kind!r}")
 
 
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random proper rotation (QR of a Gaussian matrix, det fixed)."""
     m = rng.normal(size=(3, 3))
     q, r = np.linalg.qr(m)
@@ -204,7 +204,7 @@ def synth_shapes(classes, per_class: int, n_points: int, seed=0,
     for label, name in enumerate(names):
         for _ in range(per_class):
             pts = sample_shape(name, n_points, rng)
-            pts = pts @ _random_rotation(rng).T
+            pts = pts @ random_rotation(rng).T
             pts = pts + rng.normal(0.0, jitter, size=pts.shape)
             items.append((normalize_cloud(PointCloud(pts)), label))
     return items, names

@@ -97,14 +97,9 @@ def init_layer_norm(store: ParamStore, name: str, c: int, dtype=np.float32,
         store.add(f"{name}.b", np.zeros(c, dtype=dtype))
 
 
-def layer_norm_apply(x: Tensor, gain: Tensor, bias: Tensor | None,
-                     eps: float = LAYER_NORM_EPS) -> Tensor:
-    return T.layer_norm(x, gain, bias, eps)
-
-
 def layer_norm(x: Tensor, store: ParamStore, name: str) -> Tensor:
     bias = store[f"{name}.b"] if f"{name}.b" in store else None
-    return layer_norm_apply(x, store[f"{name}.g"], bias)
+    return T.layer_norm(x, store[f"{name}.g"], bias, LAYER_NORM_EPS)
 
 
 def pooled_stats(x: Tensor, axis: int, mode: str) -> Tensor:

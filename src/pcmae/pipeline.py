@@ -12,7 +12,7 @@ from . import kernels
 from . import tensor as T
 from .attention import decoder_forward, encoder_forward, init_decoder, init_encoder
 from .config import ModelConfig
-from .geometry import PointCloud, build_patches, estimate_normals, spfh_batch
+from .geometry import PatchSet, PointCloud, build_patches, estimate_normals, spfh_batch
 from .layers import init_affine, affine
 from .tensor import ParamStore, Tensor
 from .tokenizer import gate_forward, init_gate
@@ -38,6 +38,7 @@ class PretrainOutput:
     loss: Tensor
     mask: MaskLayout
     prediction: ReconstructionTarget
+    patches: PatchSet          # the patches the tokens were built from
 
 
 def random_mask(g: int, r: float, seed) -> MaskLayout:
@@ -168,7 +169,7 @@ def pretrain_forward(cloud: PointCloud, cfg: ModelConfig, store: ParamStore,
     loss = chamfer_l2_t(pred, gt)
     target = ReconstructionTarget(patches_gt=gt.astype(np.float64),
                                   prediction=pred.data.astype(np.float64))
-    return PretrainOutput(loss, layout, target)
+    return PretrainOutput(loss, layout, target, patches)
 
 
 def extract_global_feature(cloud: PointCloud, cfg: ModelConfig,
@@ -190,10 +191,7 @@ def reconstruction_dump(cloud: PointCloud, cfg: ModelConfig, store: ParamStore,
     """Point sets for external plotting: (input cloud, visible patch points,
     predicted masked patch points), all in the input frame."""
     out = pretrain_forward(cloud, cfg, store, seed)
-    cloud_n = prepare_cloud(cloud, cfg)
-    root = np.random.SeedSequence(seed)
-    fps_seed, _ = root.spawn(2)
-    patches = build_patches(cloud_n, cfg.g, cfg.k, seed=fps_seed)
+    patches = out.patches
     vis = patches.neighborhoods[out.mask.visible_indices] \
         + patches.centers[out.mask.visible_indices][:, None, :]
     pred = out.prediction.prediction \

@@ -15,7 +15,8 @@ import numpy as np
 from . import tensor as T
 from .attention import (fit_mac_polynomial, init_block, multi_head_external_attention,
                         multi_head_self_attention, encoder_forward, stack_macs)
-from .config import BlockConfig, ModelConfig
+from .config import BlockConfig, ModelConfig, TrainConfig
+from .dataio import load_model_checkpoint, random_rotation, save_checkpoint
 from .gradcheck import check_param_gradients, finite_difference_check
 from .geometry import (PointCloud, build_patches, estimate_normals,
                        farthest_point_sample, knn, pair_features, spfh_batch)
@@ -30,20 +31,12 @@ TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
                    enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
 
 
-def _random_rotation(rng) -> np.ndarray:
-    m = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(m)
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def _random_cloud(rng, n) -> PointCloud:
     return PointCloud(rng.normal(size=(n, 3)))
 
 
-def _randomize_params(store: ParamStore, seed, scale=0.15) -> None:
+def randomize_params(store: ParamStore, seed, scale=0.15) -> None:
+    """Overwrite every tensor with seeded noise (gains near 1), in store order."""
     # generic test point: the sigma=0.02 init is a near-stationary point with
     # vanishing deep-path gradients, useless for derivative verification
     rng = np.random.default_rng(seed)
@@ -155,7 +148,7 @@ def check_pair_feature_rotation(trials=20):
         n_i = rng.normal(size=3)
         n_i /= np.linalg.norm(n_i)
         base = pair_features(p_q, n_q, p_i, n_i)
-        rot = _random_rotation(rng)
+        rot = random_rotation(rng)
         feat = pair_features(rot @ p_q, rot @ n_q, rot @ p_i, rot @ n_i)
         if max(abs(base.alpha - feat.alpha), abs(base.phi - feat.phi),
                abs(base.theta - feat.theta)) > 1e-6:
@@ -169,7 +162,7 @@ def check_descriptor_rotation(trials=20):
     patches = build_patches(cloud, 4, 8, first_index=0)
     base = spfh_batch(cloud, patches.center_indices, patches.neighbor_indices)
     for _ in range(trials):
-        rot = _random_rotation(rng)
+        rot = random_rotation(rng)
         rotated = PointCloud(cloud.points @ rot.T, cloud.normals @ rot.T)
         feat = spfh_batch(rotated, patches.center_indices, patches.neighbor_indices)
         if np.abs(base - feat).max() > 1e-5:
@@ -239,21 +232,21 @@ def _gradient_checks() -> list[tuple[str, float]]:
     wa = rng.normal(size=(5, 8))
     store = ParamStore()
     init_block(store, "b", cfgb, "self", rng, np.float64)
-    _randomize_params(store, 8)
+    randomize_params(store, 8)
     results.append(("self_attention", check_param_gradients(
         lambda: (multi_head_self_attention(Tensor(xa), store, "b.attn", 2) * Tensor(wa)).sum(),
         store, min_grad=1e-8)))
 
     store = ParamStore()
     init_block(store, "b", cfgb, "external", rng, np.float64)
-    _randomize_params(store, 9)
+    randomize_params(store, 9)
     results.append(("external_attention", check_param_gradients(
         lambda: (multi_head_external_attention(Tensor(xa), store, "b.attn", 2) * Tensor(wa)).sum(),
         store, min_grad=1e-8)))
 
     store = ParamStore()
     init_gate(store, TINY, rng, np.float64)
-    _randomize_params(store, 10)
+    randomize_params(store, 10)
     xp = rng.normal(size=(TINY.g, TINY.k, TINY.c_p))
     results.append(("adaptive_saliency", check_param_gradients(
         lambda: adaptive_saliency(Tensor(xp), store, TINY)[1].mean(), store,
@@ -286,7 +279,7 @@ def check_pretrain_gradient():
     rng = np.random.default_rng(11)
     cloud = estimate_normals(_random_cloud(rng, TINY.n), TINY.k_n)
     store = init_pretrain_params(TINY, seed=0, dtype=np.float64)
-    _randomize_params(store, 12)
+    randomize_params(store, 12)
     err = check_param_gradients(
         lambda: pretrain_forward(cloud, TINY, store, seed=11).loss,
         store, max_coords=250, rng=13, min_grad=1e-6)
@@ -315,7 +308,7 @@ def check_ea_row_sums():
     cfgb = BlockConfig(d=12, heads=3, mlp_ratio=2, depth=1, s_mem=5)
     store = ParamStore()
     init_block(store, "b", cfgb, "external", rng, np.float64)
-    _randomize_params(store, 15)
+    randomize_params(store, 15)
     for m in (1, 2, 7):
         x = Tensor(rng.normal(size=(m, 12)))
         q = T.matmul(x, store["b.attn.q.w"])
@@ -333,7 +326,7 @@ def check_saliency_range():
     rng = np.random.default_rng(16)
     store = ParamStore()
     init_gate(store, TINY, rng, np.float64)
-    _randomize_params(store, 17, scale=0.5)
+    randomize_params(store, 17, scale=0.5)
     x = Tensor(rng.normal(0.0, 5.0, size=(TINY.g, TINY.k, TINY.c_p)))
     weights, _ = adaptive_saliency(x, store, TINY)
     for arr in (weights.channel.data, weights.spatial.data):
@@ -345,7 +338,7 @@ def check_saliency_range():
 def check_encoder_permutation(trials=5):
     rng = np.random.default_rng(18)
     store = init_pretrain_params(TINY, seed=3, dtype=np.float64)
-    _randomize_params(store, 19)
+    randomize_params(store, 19)
     m = 6
     tokens = rng.normal(size=(m, TINY.d))
     centers = rng.normal(size=(m, 3))
@@ -363,7 +356,7 @@ def check_gate_point_permutation(trials=5):
     cloud = estimate_normals(_random_cloud(rng, TINY.n), TINY.k_n)
     patches = build_patches(cloud, TINY.g, TINY.k, first_index=0)
     store = init_pretrain_params(TINY, seed=4, dtype=np.float64)
-    _randomize_params(store, 21)
+    randomize_params(store, 21)
     descs = spfh_batch(cloud, patches.center_indices, patches.neighbor_indices)
     base = gate_forward(patches, descs, store, TINY).tokens.data
     for _ in range(trials):
@@ -395,9 +388,6 @@ def check_mac_accounting():
 def check_checkpoint_roundtrip(tmp_dir=None):
     import tempfile
     from pathlib import Path
-
-    from .dataio import load_model_checkpoint, save_checkpoint
-    from .config import TrainConfig
 
     store = init_pretrain_params(TINY, seed=5)
     with tempfile.TemporaryDirectory() as tmp:

@@ -12,6 +12,7 @@ from pcmae.attention import (attention_macs, decoder_forward, encoder_forward,
                              stack_macs, transformer_block_forward)
 from pcmae.config import BlockConfig, ModelConfig
 from pcmae.gradcheck import check_param_gradients
+from pcmae.selfcheck import randomize_params
 from pcmae.tensor import ParamStore, Tensor
 
 TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
@@ -19,20 +20,11 @@ TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
 BLOCK = BlockConfig(d=8, heads=2, mlp_ratio=2, depth=1, s_mem=4)
 
 
-def randomize(store, seed, scale=0.15):
-    rng = np.random.default_rng(seed)
-    for name, t in store.items():
-        if name.endswith(".g"):
-            t.data = 1.0 + rng.normal(0.0, 0.05, t.data.shape)
-        else:
-            t.data = rng.normal(0.0, scale, t.data.shape)
-
-
 def block_store(mode, seed=0, cfg=BLOCK, q_proj=True):
     store = ParamStore()
     init_block(store, "b", cfg, mode, np.random.default_rng(seed), np.float64,
                ea_query_projection=q_proj)
-    randomize(store, seed + 50)
+    randomize_params(store, seed + 50)
     return store
 
 
@@ -50,7 +42,7 @@ class TestPositionalEmbed:
     def test_identical_centers_identical_rows(self):
         store = ParamStore()
         init_pos_embed(store, "pos", 24, 8, np.random.default_rng(2), np.float64)
-        randomize(store, 3)
+        randomize_params(store, 3)
         centers = np.tile([0.3, -0.2, 0.9], (5, 1))
         out = positional_embed(centers, store, "pos", 24, 8).data
         assert np.array_equal(out, np.tile(out[0], (5, 1)))
@@ -184,7 +176,7 @@ def full_stack_store(seed=0):
     rng = np.random.default_rng(seed)
     init_encoder(store, TINY, rng, np.float64)
     init_decoder(store, TINY, rng, np.float64)
-    randomize(store, seed + 1)
+    randomize_params(store, seed + 1)
     return store
 
 

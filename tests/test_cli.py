@@ -159,6 +159,14 @@ class TestPointwiseCommands:
             assert (out / f"{stem}_{tag}.xyz").exists()
 
 
+class TestSelfcheckCommand:
+    def test_all_checks_pass(self, capsys):
+        assert main(["selfcheck"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert rows[0] == "check,status,detail"
+        assert len(rows) > 1 and all(",PASS," in row for row in rows[1:])
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -169,6 +177,15 @@ class TestExitCodes:
         rc = main(["pretrain", "--dataset", str(dataset), "--config", str(cfg),
                    "--epochs", "1", "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_mistyped_config_list_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**TINY_KEYS, "checkpoint_epochs": ["x"]}))
+        xyz = tmp_path / "cloud.xyz"
+        xyz.write_text("0 0 0\n")
+        rc = main(["describe", "--config", str(cfg), "--input", str(xyz)])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_dataset_is_data_error(self, tmp_path, config_file):
         rc = main(["pretrain", "--dataset", str(tmp_path / "ghost"),

@@ -4,34 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from pcmae.dataio import random_rotation
 from pcmae.geometry import (PointCloud, build_patches, estimate_normals,
                             estimate_normals_with_stats, farthest_point_sample,
                             knn, normalize_cloud, pair_features, spfh_batch,
                             spfh_descriptor)
-
-
-def random_rotation(rng):
-    m = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(m)
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def fps_exhaustive(points, g, first):
-    """Greedy reference that rescans every candidate from scratch."""
-    chosen = [first]
-    for _ in range(g - 1):
-        best_idx, best_val = -1, -1.0
-        for cand in range(len(points)):
-            if cand in chosen:
-                continue
-            dmin = min(float(np.sum((points[cand] - points[s]) ** 2)) for s in chosen)
-            if dmin > best_val:
-                best_val, best_idx = dmin, cand
-        chosen.append(best_idx)
-    return chosen
+from pcmae.selfcheck import fps_oracle
 
 
 class TestNormalizeCloud:
@@ -82,7 +60,7 @@ class TestFarthestPointSample:
             pts = rng.normal(size=(n, 3))
             first = int(rng.integers(n))
             got = list(farthest_point_sample(PointCloud(pts), g, first_index=first))
-            assert got == fps_exhaustive(pts, g, first)
+            assert got == fps_oracle(pts, g, first)
 
     def test_indices_distinct_at_full_scale(self):
         cloud = PointCloud(np.random.default_rng(4).normal(size=(1024, 3)))

@@ -1,75 +1,33 @@
-"""The numba kernels and their numpy fallbacks must agree bit-for-bit, and
-k-NN must match a full sort by (distance, index)."""
+"""The geometry kernels against independent references: FPS on duplicate
+points, k-NN under ties against a full sort by (distance, index), SPFH
+histograms against per-pair ``pair_features`` binning, and float32 Chamfer
+terms against the double-loop oracle."""
+import math
+
 import numpy as np
 import pytest
 
 from pcmae import kernels
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not importable")
-
-
-@pytest.fixture(scope="module")
-def workload():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(512, 3))
-    queries = pts[rng.choice(512, 32, replace=False)]
-    normals = rng.normal(size=(512, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return pts, queries, normals
+from pcmae.geometry import PointCloud, build_patches, estimate_normals, pair_features
+from pcmae.pipeline import chamfer_l2_t
+from pcmae.selfcheck import chamfer_oracle, knn_oracle
+from pcmae.tensor import Tensor
 
 
-@needs_numba
-class TestPathEquality:
-    def test_fps(self, workload):
-        pts, _, _ = workload
-        for first in (0, 17, 300):
-            a = kernels._fps_numba(pts, 48, first)
-            b = kernels._fps_numpy(pts, 48, first)
-            assert np.array_equal(a, b)
-
-    def test_knn(self, workload):
-        pts, queries, _ = workload
-        for k in (1, 8, 32):
-            a = kernels._knn_numba(pts, queries, k)
-            b = kernels._knn_numpy(pts, queries, k)
-            assert np.array_equal(a, b)
-
-    def test_spfh(self, workload):
-        pts, queries, normals = workload
-        centers = np.arange(32, dtype=np.int64)
-        nbr = kernels.knn_indices(pts, queries, 16)
-        for literal in (False, True):
-            a = kernels._spfh_numba(pts, normals, centers, nbr, 11, literal)
-            b = kernels._spfh_numpy(pts, normals, centers, nbr, 11, literal)
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y)
-
-    def test_chamfer(self, workload):
-        rng = np.random.default_rng(1)
-        for dtype in (np.float64, np.float32):
-            a = rng.normal(size=(6, 10, 3)).astype(dtype)
-            b = rng.normal(size=(6, 12, 3)).astype(dtype)
-            out_nb = kernels._chamfer_numba(a, b)
-            out_np = kernels._chamfer_numpy(a, b)
-            for x, y in zip(out_nb, out_np):
-                assert np.array_equal(np.asarray(x), np.asarray(y))
+class TestKernelBasics:
+    def test_fps_distinct_and_knn_self_first(self):
+        pts = np.random.default_rng(2).normal(size=(64, 3))
+        idx = kernels.fps_indices(pts, 8, 0)
+        assert len(set(idx.tolist())) == 8
+        nbr = kernels.knn_indices(pts, pts[:4], 5)
+        assert nbr.shape == (4, 5)
+        assert (nbr[:, 0] == np.arange(4)).all()
 
     def test_duplicate_points_fps_stays_distinct(self):
         pts = np.zeros((6, 3))
         pts[3:] = 1.0
-        for impl in (kernels._fps_numba, kernels._fps_numpy):
-            idx = impl(pts, 6, 0)
-            assert sorted(idx.tolist()) == list(range(6))
-
-
-def knn_sort_oracle(points, queries, k):
-    """k nearest by a full sort on (squared distance, index)."""
-    out = []
-    for q in queries:
-        diff = points - q
-        d = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1] + diff[:, 2] * diff[:, 2]
-        out.append(sorted(range(len(points)), key=lambda i: (d[i], i))[:k])
-    return np.array(out, dtype=np.int64).reshape(len(queries), k)
+        idx = kernels.fps_indices(pts, 6, 0)
+        assert sorted(idx.tolist()) == list(range(6))
 
 
 def _tie_clouds():
@@ -98,34 +56,112 @@ class TestKnnTies:
     def test_matches_sort_oracle(self, name):
         points, queries = TIE_CLOUDS[name]
         for k in (1, 2, 3, 4, 5, 7, 9, 13, len(points) - 1):
-            want = knn_sort_oracle(points, queries, k)
-            assert np.array_equal(kernels._knn_numpy(points, queries, k), want), k
-            assert np.array_equal(kernels.knn_indices(points, queries, k), want), k
+            want = [knn_oracle(points, q, k) for q in queries]
+            assert kernels.knn_indices(points, queries, k).tolist() == want, k
 
 
-class TestDispatch:
-    def test_flag_reflects_environment(self):
-        # the module-level flag is resolved at import; both values are legal,
-        # but the dispatchers must return consistent results either way
-        pts = np.random.default_rng(2).normal(size=(64, 3))
-        idx = kernels.fps_indices(pts, 8, 0)
-        assert len(set(idx.tolist())) == 8
-        nbr = kernels.knn_indices(pts, pts[:4], 5)
-        assert nbr.shape == (4, 5)
-        assert (nbr[:, 0] == np.arange(4)).all()
+def spfh_pair_oracle(points, normals, centers, neighbors, bins, variant):
+    """Raw histograms, pair counts and degenerate-frame counts built one pair
+    at a time from ``pair_features``, binned with the kernel's floor/clip."""
+    hist = np.zeros((len(centers), 3 * bins))
+    counts = np.zeros(len(centers), dtype=np.int64)
+    degenerate = np.zeros(len(centers), dtype=np.int64)
+    for row, (c, nbr) in enumerate(zip(centers, neighbors)):
+        for j in nbr:
+            try:
+                f = pair_features(points[c], normals[c], points[j], normals[j], variant)
+            except ValueError:          # coincident neighbour: skipped
+                continue
+            counts[row] += 1
+            degenerate[row] += f.degenerate
+            cells = (math.floor((f.alpha + 1.0) * bins / 2.0),
+                     math.floor((f.phi + 1.0) * bins / 2.0),
+                     math.floor((f.theta + math.pi) * bins / (2.0 * math.pi)))
+            for block, cell in enumerate(cells):
+                hist[row, block * bins + min(max(cell, 0), bins - 1)] += 1.0
+    return hist, counts, degenerate
 
-    def test_forced_numpy_subprocess(self):
-        import subprocess
-        import sys
 
-        code = (
-            "import os; os.environ['PCMAE_NUMBA']='0';"
-            "from pcmae import kernels; import numpy as np;"
-            "assert not kernels.USE_NUMBA;"
-            "pts = np.random.default_rng(0).normal(size=(32,3));"
-            "print(list(kernels.fps_indices(pts, 4, 0)))"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        pts = np.random.default_rng(0).normal(size=(32, 3))
-        assert str(list(kernels.fps_indices(pts, 4, 0))) == out.stdout.strip()
+def _spfh_clouds():
+    # half the clouds sit on a half-unit lattice: duplicate points, exact ties
+    # and axis-aligned offsets
+    clouds = []
+    for seed in range(20):
+        pts = np.random.default_rng(100 + seed).normal(size=(96, 3))
+        if seed % 2:
+            pts = np.round(2.0 * pts) / 2.0
+        clouds.append(estimate_normals(PointCloud(pts), 8))
+    return clouds
+
+
+def _degenerate_cloud():
+    # centre 0 has normal +z: neighbours straight above and below give
+    # degenerate Darboux frames, point 3 coincides with the centre
+    points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -2.0],
+                       [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    normals = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0],
+                        [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, 0.8]])
+    return points, normals
+
+
+class TestSpfhReference:
+    @pytest.mark.parametrize("variant", ["standard", "paper-literal"])
+    def test_matches_pair_oracle_on_seeded_clouds(self, variant):
+        degenerate_seen = coincident_seen = 0
+        for cloud in _spfh_clouds():
+            patches = build_patches(cloud, 12, 16, first_index=0)
+            got = kernels.spfh_histograms(cloud.points, cloud.normals,
+                                          patches.center_indices, patches.neighbor_indices,
+                                          11, variant == "paper-literal")
+            want = spfh_pair_oracle(cloud.points, cloud.normals, patches.center_indices,
+                                    patches.neighbor_indices, 11, variant)
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
+            degenerate_seen += int(got[2].sum())
+            coincident_seen += int((16 - got[1]).sum())
+        # the lattice clouds must reach both special cases
+        assert coincident_seen > 12 * 20
+        assert degenerate_seen > 0
+
+    @pytest.mark.parametrize("variant", ["standard", "paper-literal"])
+    def test_matches_pair_oracle_on_degenerate_frames(self, variant):
+        points, normals = _degenerate_cloud()
+        centers = np.array([0, 4])
+        neighbors = np.array([[0, 1, 2, 3, 4, 5], [4, 0, 1, 2, 3, 5]])
+        got = kernels.spfh_histograms(points, normals, centers, neighbors, 11,
+                                      variant == "paper-literal")
+        want = spfh_pair_oracle(points, normals, centers, neighbors, 11, variant)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+        assert got[1].tolist() == [4, 5]
+        assert got[2][0] == 2
+
+
+class TestChamferFloat32:
+    def test_terms_match_double_loop_oracle(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            a = rng.normal(size=(6, 10, 3)).astype(np.float32)
+            b = rng.normal(size=(6, 12, 3)).astype(np.float32)
+            min_a, arg_a, min_b, arg_b = kernels.chamfer_terms(a, b)
+            assert min_a.dtype == np.float32 and min_b.dtype == np.float32
+            a64, b64 = a.astype(np.float64), b.astype(np.float64)
+            d = ((a64[:, :, None, :] - b64[:, None, :, :]) ** 2).sum(axis=-1)
+            for i in range(6):
+                got = float(min_a[i].mean() + min_b[i].mean())
+                assert got == pytest.approx(chamfer_oracle(a64[i], b64[i]), rel=1e-5)
+                # the returned argmins attain the nearest distances
+                np.testing.assert_allclose(d[i][np.arange(10), arg_a[i]], d[i].min(axis=1),
+                                           rtol=1e-5)
+                np.testing.assert_allclose(d[i][arg_b[i], np.arange(12)], d[i].min(axis=0),
+                                           rtol=1e-5)
+
+    def test_training_loss_matches_double_loop_oracle(self):
+        rng = np.random.default_rng(4)
+        pred = rng.normal(size=(5, 8, 3)).astype(np.float32)
+        gt = rng.normal(size=(5, 8, 3)).astype(np.float32)
+        loss = chamfer_l2_t(Tensor(pred, requires_grad=True), gt)
+        assert loss.data.dtype == np.float32
+        want = np.mean([chamfer_oracle(pred[i].astype(np.float64), gt[i].astype(np.float64))
+                        for i in range(5)])
+        assert float(loss.data) == pytest.approx(want, rel=1e-5)

@@ -4,8 +4,8 @@ import pytest
 
 from pcmae import tensor as T
 from pcmae.gradcheck import check_param_gradients, finite_difference_check
-from pcmae.layers import (cross_entropy, dropout, init_layer_norm, init_mlp,
-                          layer_norm, layer_norm_apply, mlp_apply, pooled_stats)
+from pcmae.layers import (LAYER_NORM_EPS, cross_entropy, dropout, init_layer_norm,
+                          init_mlp, layer_norm, mlp_apply, pooled_stats)
 from pcmae.tensor import ParamStore, Tensor, trunc_normal
 
 
@@ -48,18 +48,18 @@ class TestMlp:
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
         x = Tensor(np.full((3, 8), 2.5))
-        out = layer_norm_apply(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+        out = T.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)), LAYER_NORM_EPS)
         assert np.abs(out.data).max() < 1e-6
 
     def test_known_two_value_row(self):
-        out = layer_norm_apply(Tensor(np.array([[1.0, 3.0]])),
-                               Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
+        out = T.layer_norm(Tensor(np.array([[1.0, 3.0]])),
+                           Tensor(np.ones(2)), Tensor(np.zeros(2)), 1e-12)
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
 
     def test_normalizes_moments(self):
         rng = np.random.default_rng(5)
-        out = layer_norm_apply(Tensor(rng.normal(3.0, 2.0, size=(10, 32))),
-                               Tensor(np.ones(32)), Tensor(np.zeros(32)))
+        out = T.layer_norm(Tensor(rng.normal(3.0, 2.0, size=(10, 32))),
+                           Tensor(np.ones(32)), Tensor(np.zeros(32)), LAYER_NORM_EPS)
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-3)
 
@@ -80,7 +80,7 @@ class TestLayerNorm:
         b = Tensor(np.zeros(5))
         w = rng.normal(size=(3, 5))
         err = finite_difference_check(
-            lambda t: (layer_norm_apply(t, g, b) * Tensor(w)).sum(), x)
+            lambda t: (T.layer_norm(t, g, b, LAYER_NORM_EPS) * Tensor(w)).sum(), x)
         assert err < 1e-4
 
 

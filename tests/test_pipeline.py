@@ -4,31 +4,18 @@ import numpy as np
 import pytest
 
 from pcmae.config import ModelConfig
-from pcmae.dataio import synth_shapes
+from pcmae.dataio import random_rotation, synth_shapes
 from pcmae.gradcheck import check_param_gradients
-from pcmae.geometry import PointCloud, estimate_normals
+from pcmae.geometry import PointCloud, build_patches, estimate_normals
 from pcmae.pipeline import (chamfer_l2, chamfer_l2_t, extract_global_feature,
-                            init_pretrain_params, pretrain_forward, random_mask,
-                            reconstruction_dump, reconstruction_head, tokenize)
+                            init_pretrain_params, prepare_cloud, pretrain_forward,
+                            random_mask, reconstruction_dump, reconstruction_head,
+                            tokenize)
+from pcmae.selfcheck import chamfer_oracle, randomize_params
 from pcmae.tensor import ParamStore, Tensor
 
 TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
                    enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
-
-
-def chamfer_double_loop(a, b):
-    total_a = sum(min(float(np.sum((p - q) ** 2)) for q in b) for p in a)
-    total_b = sum(min(float(np.sum((q - p) ** 2)) for p in a) for q in b)
-    return total_a / len(a) + total_b / len(b)
-
-
-def randomize(store, seed, scale=0.15):
-    rng = np.random.default_rng(seed)
-    for name, t in store.items():
-        if name.endswith(".g"):
-            t.data = (1.0 + rng.normal(0.0, 0.05, t.data.shape)).astype(t.data.dtype)
-        else:
-            t.data = rng.normal(0.0, scale, t.data.shape).astype(t.data.dtype)
 
 
 def random_cloud(seed, n=64):
@@ -105,7 +92,7 @@ class TestReconstructionHead:
         from pcmae.pipeline import init_reconstruction_head
 
         init_reconstruction_head(store, TINY, np.random.default_rng(4), np.float64)
-        randomize(store, 5)
+        randomize_params(store, 5)
         rng = np.random.default_rng(6)
         td = rng.normal(size=(3, 24))
         gt = rng.normal(0.0, 0.4, size=(3, 8, 3))
@@ -128,7 +115,7 @@ class TestChamfer:
         for _ in range(200):
             a = rng.normal(size=(10, 3))
             b = rng.normal(size=(10, 3))
-            assert chamfer_l2(a, b) == pytest.approx(chamfer_double_loop(a, b), abs=1e-6)
+            assert chamfer_l2(a, b) == pytest.approx(chamfer_oracle(a, b), abs=1e-6)
 
     def test_symmetric_exactly(self):
         rng = np.random.default_rng(9)
@@ -141,7 +128,7 @@ class TestChamfer:
         rng = np.random.default_rng(10)
         a = rng.normal(size=(4, 6, 3))
         b = rng.normal(size=(4, 5, 3))
-        want = np.mean([chamfer_double_loop(a[i], b[i]) for i in range(4)])
+        want = np.mean([chamfer_oracle(a[i], b[i]) for i in range(4)])
         assert chamfer_l2(a, b) == pytest.approx(want, abs=1e-6)
 
     def test_empty_set_rejected(self):
@@ -206,11 +193,7 @@ class TestPretrainForward:
         patches = build_patches(cloud_n, TINY.g, TINY.k, first_index=0)
         base = spfh_batch(cloud_n, patches.center_indices, patches.neighbor_indices)
         rng = np.random.default_rng(15)
-        m = rng.normal(size=(3, 3))
-        q, r = np.linalg.qr(m)
-        q *= np.sign(np.diag(r))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
+        q = random_rotation(rng)
         rotated = PointCloud(cloud_n.points @ q.T, cloud_n.normals @ q.T)
         got = spfh_batch(rotated, patches.center_indices, patches.neighbor_indices)
         assert np.abs(got - base).max() < 1e-5
@@ -218,7 +201,7 @@ class TestPretrainForward:
     def test_end_to_end_gradient(self):
         cloud = estimate_normals(random_cloud(16), TINY.k_n)
         store = init_pretrain_params(TINY, seed=4, dtype=np.float64)
-        randomize(store, 17)
+        randomize_params(store, 17)
         err = check_param_gradients(
             lambda: pretrain_forward(cloud, TINY, store, seed=9).loss,
             store, max_coords=250, rng=18, min_grad=1e-6)
@@ -244,7 +227,7 @@ class TestGlobalFeature:
         from pcmae.attention import encoder_forward
 
         store = init_pretrain_params(TINY, seed=7, dtype=np.float64)
-        randomize(store, 21)
+        randomize_params(store, 21)
         cloud = random_cloud(22)
         seq, _ = tokenize(cloud, TINY, store, seed=0)
         enc = encoder_forward(seq.tokens, seq.centers, store, TINY)
@@ -271,3 +254,20 @@ class TestReconstructionDump:
         # visible points are actual cloud points
         d = np.sqrt(((visible[:, None, :] - inp[None, :, :]) ** 2).sum(-1)).min(axis=1)
         assert d.max() < 1e-9
+
+    def test_matches_rebuilt_patches(self):
+        # oracle: rebuild the patches from the cloud and the seed's first
+        # spawned child, the FPS seed of pretrain_forward
+        store = init_pretrain_params(TINY, seed=8)
+        items, _ = synth_shapes(["cube"], per_class=1, n_points=TINY.n, seed=26)
+        cloud = items[0][0]
+        got = reconstruction_dump(cloud, TINY, store, seed=27)
+        out = pretrain_forward(cloud, TINY, store, seed=27)
+        fps_seed, _ = np.random.SeedSequence(27).spawn(2)
+        patches = build_patches(prepare_cloud(cloud, TINY), TINY.g, TINY.k, seed=fps_seed)
+        vis = patches.neighborhoods[out.mask.visible_indices] \
+            + patches.centers[out.mask.visible_indices][:, None, :]
+        pred = out.prediction.prediction + patches.centers[out.mask.masked_indices][:, None, :]
+        want = (cloud.points, vis.reshape(-1, 3), pred.reshape(-1, 3))
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()

@@ -5,6 +5,7 @@ import pytest
 from pcmae.config import ModelConfig
 from pcmae.gradcheck import check_param_gradients
 from pcmae.geometry import PatchSet, PointCloud, build_patches, estimate_normals, spfh_batch
+from pcmae.selfcheck import randomize_params
 from pcmae.tensor import ParamStore, Tensor
 from pcmae.tokenizer import (adaptive_saliency, embed_descriptor, embed_patch_points,
                              gate_forward, init_gate, latent_tokens)
@@ -22,12 +23,7 @@ def tiny_store(seed=0, dtype=np.float64, cfg=TINY):
 
 def randomized_store(seed=0, cfg=TINY):
     store = tiny_store(seed, np.float64, cfg)
-    rng = np.random.default_rng(seed + 100)
-    for name, t in store.items():
-        if name.endswith(".g"):
-            t.data = 1.0 + rng.normal(0.0, 0.05, t.data.shape)
-        else:
-            t.data = rng.normal(0.0, 0.15, t.data.shape)
+    randomize_params(store, seed + 100)
     return store
 
 
