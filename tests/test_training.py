@@ -1,9 +1,11 @@
 """Optimizer, schedule, augmentation, training loops, and protocols."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pcmae import optim, training
 from pcmae.config import FinetuneProtocol, ModelConfig, TrainConfig
 from pcmae.dataio import synth_shapes
 from pcmae.geometry import PointCloud
@@ -24,6 +26,41 @@ def store_digest(store, prefixes=("gate.", "enc.", "dec.", "head.")):
             h.update(name.encode())
             h.update(t.data.tobytes())
     return h.hexdigest()
+
+
+def adamw_reference(store, grads, state, lr, cfg):
+    """The whole-array float64 AdamW expression: the oracle ``adamw_step``
+    must match byte for byte (its divergence check is not atomic)."""
+    state.t += 1
+    b1, b2 = cfg.beta1, cfg.beta2
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    for name in store.trainable_names():
+        if name not in grads:
+            continue
+        g = grads[name]
+        if not np.isfinite(g).all():
+            raise DivergenceError("divergence")
+        p = store[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data, dtype=np.float64)
+            state.v[name] = np.zeros_like(p.data, dtype=np.float64)
+        m = state.m[name]
+        v = state.v[name]
+        g64 = g.astype(np.float64)
+        m *= b1
+        m += (1.0 - b1) * g64
+        v *= b2
+        v += (1.0 - b2) * g64 * g64
+        m_hat = m / bc1
+        v_hat = v / bc2
+        update = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p.data.astype(np.float64)
+        p.data = (p.data.astype(np.float64) - lr * update).astype(p.data.dtype)
+    return state
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestCosineLr:
@@ -80,6 +117,109 @@ class TestAdamW:
         with pytest.raises(DivergenceError, match="divergence"):
             adamw_step(store, {"w": np.array([1.0, np.nan])}, AdamWState(), 0.1,
                        TrainConfig())
+
+    def test_divergence_changes_nothing(self):
+        # "a" comes first and would become 0.895 if the step were half-applied
+        store = ParamStore()
+        store.add("a", np.array([1.0]))
+        store.add("b", np.array([1.0]))
+        state = AdamWState()
+        with pytest.raises(DivergenceError, match="^divergence: non-finite gradient in b$"):
+            adamw_step(store, {"a": np.array([1.0]), "b": np.array([np.nan])}, state,
+                       0.1, TrainConfig())
+        assert store["a"].data[0] == 1.0 and store["b"].data[0] == 1.0
+        assert state.t == 0 and state.m == {} and state.v == {}
+
+    def test_divergence_after_a_step_keeps_moments(self):
+        store = ParamStore()
+        store.add("a", np.array([1.0, 2.0]))
+        store.add("b", np.array([1.0, 2.0]))
+        state = adamw_step(store, {"a": np.ones(2), "b": np.ones(2)}, AdamWState(),
+                           0.1, TrainConfig())
+        before = ({n: store[n].data.copy() for n in "ab"},
+                  {n: state.m[n].copy() for n in "ab"}, {n: state.v[n].copy() for n in "ab"})
+        with pytest.raises(DivergenceError, match="non-finite gradient in a"):
+            adamw_step(store, {"a": np.array([np.inf, 0.0]), "b": np.ones(2)}, state,
+                       0.1, TrainConfig())
+        assert state.t == 1
+        for n in "ab":
+            assert same_bytes(store[n].data, before[0][n])
+            assert same_bytes(state.m[n], before[1][n])
+            assert same_bytes(state.v[n], before[2][n])
+
+    def test_misshapen_gradient_changes_nothing(self):
+        store = ParamStore()
+        store.add("a", np.ones(3))
+        store.add("b", np.ones((2, 3)))
+        state = AdamWState()
+        with pytest.raises(ValueError, match="parameter b"):
+            adamw_step(store, {"a": np.ones(3), "b": np.ones(3)}, state, 0.1, TrainConfig())
+        assert np.array_equal(store["a"].data, np.ones(3))
+        assert state.t == 0 and state.m == {}
+
+    def test_step_memory_is_o_block(self):
+        # after the moments exist, a step allocates the new parameter and
+        # O(block) scratch: below the tensor's float64 size (8 MB)
+        rng = np.random.default_rng(0)
+        store = ParamStore()
+        store.add("w", rng.normal(size=(1000, 1000)).astype(np.float32))
+        grads = {"w": rng.normal(size=(1000, 1000)).astype(np.float32)}
+        state = adamw_step(store, grads, AdamWState(), 1e-3, TrainConfig())
+        tracemalloc.start()
+        try:
+            adamw_step(store, grads, state, 1e-3, TrainConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 1000 * 8
+
+
+def oracle_store(dtype, rng):
+    """Entries covering the blocked walk: a small tensor, one longer than a
+    block and not a multiple of it, a Fortran-ordered matrix, a frozen entry
+    and a trainable one that never gets a gradient."""
+    store = ParamStore()
+    store.add("bias", rng.normal(size=(3, 5)).astype(dtype))
+    store.add("big", rng.normal(size=2 * optim.BLOCK + 77).astype(dtype))
+    store.add("fortran", np.asfortranarray(rng.normal(size=(37, 41)).astype(dtype)))
+    store.add("frozen", rng.normal(size=4).astype(dtype), trainable=False)
+    store.add("no_grad", rng.normal(size=6).astype(dtype))
+    return store
+
+
+def oracle_grads(store, rng):
+    grads = {}
+    for name in ("bias", "big", "fortran", "frozen"):
+        data = store[name].data
+        g = (rng.normal(size=data.shape) * rng.uniform(1e-4, 1.0)).astype(data.dtype)
+        grads[name] = np.asfortranarray(g) if name == "fortran" else g
+    return grads
+
+
+class TestAdamWOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_bytes_match_reference(self, dtype, weight_decay):
+        cfg = TrainConfig(weight_decay=weight_decay)
+        store = oracle_store(dtype, np.random.default_rng(1))
+        ref = oracle_store(dtype, np.random.default_rng(1))
+        state, ref_state = AdamWState(), AdamWState()
+        rng = np.random.default_rng(2)
+        for lr in (1e-3, 3e-4, 1e-4, 5e-2):
+            grads = oracle_grads(store, rng)
+            held = {n: (store[n].data, store[n].data.copy()) for n in store.names()}
+            adamw_step(store, grads, state, lr, cfg)
+            adamw_reference(ref, grads, ref_state, lr, cfg)
+            assert state.t == ref_state.t
+            assert sorted(state.m) == sorted(ref_state.m) == ["bias", "big", "fortran"]
+            for name in store.names():
+                assert same_bytes(store[name].data, ref[name].data), name
+                old, copy = held[name]
+                assert same_bytes(old, copy), name   # the old array is never written
+            for name in state.m:
+                assert same_bytes(state.m[name], ref_state.m[name]), name
+                assert same_bytes(state.v[name], ref_state.v[name]), name
+                assert state.m[name].flags.c_contiguous
 
 
 class TestAugment:
@@ -162,6 +302,30 @@ class TestPretrainLoop:
         assert lines[0] == "epoch,loss"
         assert len(lines) == 3
         assert (tmp_path / "checkpoint_epoch0002.ckpt").exists()
+
+
+class TestLoopsMatchReference:
+    """Whole loops with the blocked step give the reference's parameters."""
+
+    def run_both(self, monkeypatch, run):
+        digest = store_digest(run(), prefixes=("",))
+        monkeypatch.setattr(training, "adamw_step", adamw_reference)
+        return digest, store_digest(run(), prefixes=("",))
+
+    def test_pretrain_loop(self, monkeypatch):
+        clouds = [c for c, _ in tiny_dataset()[0]]
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=5, augment=True)
+        new, ref = self.run_both(monkeypatch, lambda: pretrain_loop(clouds, cfg, TINY)[0])
+        assert new == ref
+
+    def test_global_finetune(self, monkeypatch):
+        items, _ = tiny_dataset()
+        backbone = init_pretrain_params(TINY, seed=8)
+        protocol = FinetuneProtocol(scope="global", head="linear", num_classes=2)
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=0, augment=False)
+        new, ref = self.run_both(
+            monkeypatch, lambda: finetune(backbone, items, protocol, cfg, TINY)[0])
+        assert new == ref
 
 
 class TestFinetune:
