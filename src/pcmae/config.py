@@ -202,16 +202,10 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     return d
 
 
-def _config_from_dict(cls, fields: dict, d: dict):
-    for key in d:
-        if key not in fields:
-            raise SchemaError(f"unknown config key: {key!r}")
-    return cls(**{k: _coerce(k, v, type(getattr(cls, k))) for k, v in d.items()})
-
-
 def model_config_from_dict(d: dict) -> ModelConfig:
-    return _config_from_dict(ModelConfig, _MODEL_FIELDS, d)
+    for key in d:
+        if key not in _MODEL_FIELDS:
+            raise SchemaError(f"unknown config key: {key!r}")
+    return ModelConfig(**{k: _coerce(k, v, type(getattr(ModelConfig, k)))
+                          for k, v in d.items()})
 
-
-def train_config_from_dict(d: dict) -> TrainConfig:
-    return _config_from_dict(TrainConfig, _TRAIN_FIELDS, d)

@@ -342,8 +342,9 @@ def _read_exact(fh, count: int, path) -> bytes:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read tensors + config block; magic/version problems raise
-    CheckpointError ('bad magic' / 'unsupported checkpoint version')."""
+    """Read tensors + config block; magic/version problems and non-finite
+    tensor values raise CheckpointError ('bad magic' / 'unsupported
+    checkpoint version' / 'non-finite values in tensor <name>')."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -363,6 +364,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             size = int(np.prod(shape)) if ndim else 1
             payload = _read_exact(fh, 4 * size, path)
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+            if not np.isfinite(tensors[name]).all():
+                raise CheckpointError(f"{path}: non-finite values in tensor {name!r}")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes")
     return tensors, config_block

@@ -125,7 +125,7 @@ def chamfer_l2_t(pred: Tensor, gt: np.ndarray) -> Tensor:
         nearest_pred = np.take_along_axis(pred.data, arg_b[:, :, None], axis=1)
         back = 2.0 * (nearest_pred - gt) / n_g
         np.add.at(grad, (np.arange(b)[:, None], arg_b), back)
-        pred._accumulate(grad * (scale / b))
+        pred._accumulate(grad * (scale / b), fresh=True)
 
     return T._result(np.asarray(loss_val, dtype=pred.data.dtype), (pred,), bw)
 

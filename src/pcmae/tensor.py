@@ -5,6 +5,20 @@ A ``Tensor`` wraps an ndarray and records a backward closure per op; calling
 accumulates ``.grad`` on every tensor that requires it. Only the ops the
 pipeline needs are implemented. Training runs in float32; gradient checking
 builds the same graphs in float64.
+
+A graph is single-use. As soon as an interior node's closure has run, the
+backward drops the node's gradient, closure and parent links, so activations
+and gradients are freed while the walk goes on; a second ``backward`` that
+reaches a consumed node raises ``RuntimeError``. Only leaves (tensors without
+a closure, such as parameters) keep their ``.grad``.
+
+Gradient ownership: a closure that computes a fresh array for one parent
+passes ``fresh=True`` to ``_accumulate``, and the parent keeps that array as
+its first gradient (when C-ordered). Closures that pass on their incoming
+gradient or a view of it (``add``, which hands one array to both parents,
+``reshape``, ``transpose``, ``concat`` pieces, ``broadcast_to`` and the
+broadcast view of ``sum``) leave it at the default, and the first write stores
+a copy. So no two tensors ever share one gradient array.
 """
 from __future__ import annotations
 
@@ -14,6 +28,12 @@ from scipy.special import erf as _erf
 # python floats stay "weak" under NEP 50 and do not promote float32 graphs
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+
+def _consumed(g=None):
+    """Stands in for the closure of an interior node whose backward has run."""
+    raise RuntimeError("backward through a graph that was already backpropagated; "
+                       "rebuild it with a new forward pass")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -51,14 +71,17 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into ``.grad``. ``fresh`` says the closure computed ``g``
+        for this call alone, so a first write may keep it instead of a copy
+        (see the module docstring)."""
         if not self.requires_grad:
             return
         g = _unbroadcast(np.asarray(g, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
-            # an owned copy: backward closures hand the same array to several
-            # parents (add) or pass read-only broadcast views (reductions)
-            self.grad = g.copy()
+            # kept only when C-ordered: a copy is, and layout steers the
+            # summation order of later reductions over this gradient
+            self.grad = g if fresh and g.flags.c_contiguous else g.copy()
         else:
             self.grad += g
 
@@ -76,14 +99,24 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
+            if node._backward is _consumed:
+                _consumed()         # before any gradient is touched
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue            # a leaf: keeps its .grad
+            if node.grad is not None:
                 node._backward(node.grad)
+            # free the interior node's gradient, closure (and the buffers it
+            # holds) and parent links as soon as its last reader has run
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -188,15 +221,15 @@ def mul(a, b) -> Tensor:
         s = b
 
         def bw_s(g):
-            a._accumulate(g * s)
+            a._accumulate(g * s, fresh=True)
 
         return _result(a.data * s, (a,), bw_s)
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
 
     def bw(g):
-        a._accumulate(g * b.data)
-        b._accumulate(g * a.data)
+        a._accumulate(g * b.data, fresh=True)
+        b._accumulate(g * a.data, fresh=True)
 
     return _result(data, (a, b), bw)
 
@@ -208,8 +241,8 @@ def div(a, b) -> Tensor:
     data = a.data / b.data
 
     def bw(g):
-        a._accumulate(g / b.data)
-        b._accumulate(-g * a.data / (b.data * b.data))
+        a._accumulate(g / b.data, fresh=True)
+        b._accumulate(-g * a.data / (b.data * b.data), fresh=True)
 
     return _result(data, (a, b), bw)
 
@@ -219,7 +252,7 @@ def sqrt(a) -> Tensor:
     data = np.sqrt(a.data)
 
     def bw(g):
-        a._accumulate(g * 0.5 / data)
+        a._accumulate(g * 0.5 / data, fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -229,7 +262,7 @@ def exp(a) -> Tensor:
     data = np.exp(a.data)
 
     def bw(g):
-        a._accumulate(g * data)
+        a._accumulate(g * data, fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -238,7 +271,7 @@ def log(a) -> Tensor:
     a = as_tensor(a)
 
     def bw(g):
-        a._accumulate(g / a.data)
+        a._accumulate(g / a.data, fresh=True)
 
     return _result(np.log(a.data), (a,), bw)
 
@@ -248,7 +281,7 @@ def sigmoid(a) -> Tensor:
     data = 1.0 / (1.0 + np.exp(-a.data))
 
     def bw(g):
-        a._accumulate(g * data * (1.0 - data))
+        a._accumulate(g * data * (1.0 - data), fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -258,7 +291,7 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def bw(g):
-        a._accumulate(g * (a.data > 0.0))
+        a._accumulate(g * (a.data > 0.0), fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -272,7 +305,7 @@ def gelu(a) -> Tensor:
 
     def bw(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        a._accumulate(g * (cdf + x * pdf))
+        a._accumulate(g * (cdf + x * pdf), fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -282,7 +315,7 @@ def tanh(a) -> Tensor:
     data = np.tanh(a.data)
 
     def bw(g):
-        a._accumulate(g * (1.0 - data * data))
+        a._accumulate(g * (1.0 - data * data), fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -294,8 +327,8 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def bw(g):
-        a._accumulate(g @ np.swapaxes(b.data, -1, -2))
-        b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+        a._accumulate(g @ np.swapaxes(b.data, -1, -2), fresh=True)
+        b._accumulate(np.swapaxes(a.data, -1, -2) @ g, fresh=True)
 
     return _result(data, (a, b), bw)
 
@@ -316,11 +349,11 @@ def affine(x, w, b) -> Tensor:
     def bw(g):
         g2 = _rows(g)
         if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
+            x._accumulate((g2 @ w.data.T).reshape(x.data.shape), fresh=True)
         if w.requires_grad:
-            w._accumulate(_rows(x.data).T @ g2)
+            w._accumulate(_rows(x.data).T @ g2, fresh=True)
         if b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
+            b._accumulate(g2.sum(axis=0), fresh=True)
 
     return _result(data, (x, w, b), bw)
 
@@ -351,11 +384,11 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
             dx = gx - gx.mean(axis=-1, keepdims=True)
             dx -= normed * (gx * normed).mean(axis=-1, keepdims=True)
             dx /= std
-            x._accumulate(dx)
+            x._accumulate(dx, fresh=True)
         if gain.requires_grad:
-            gain._accumulate(_rows(g * normed).sum(axis=0))
+            gain._accumulate(_rows(g * normed).sum(axis=0), fresh=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(_rows(g).sum(axis=0))
+            bias._accumulate(_rows(g).sum(axis=0), fresh=True)
 
     return _result(data, (x, gain) if bias is None else (x, gain, bias), bw)
 
@@ -391,7 +424,7 @@ def getitem(a, key) -> Tensor:
     def bw(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, key, g)
-        a._accumulate(buf)
+        a._accumulate(buf, fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -405,7 +438,7 @@ def take_rows(a, indices) -> Tensor:
     def bw(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, idx, g)
-        a._accumulate(buf)
+        a._accumulate(buf, fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -467,7 +500,7 @@ def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
     count = _axis_count(a.data.shape, axis)
 
     def bw(g):
-        a._accumulate(_restore_axes(g, axis, keepdims, a.data.shape) / count)
+        a._accumulate(_restore_axes(g, axis, keepdims, a.data.shape) / count, fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -481,7 +514,7 @@ def sorted_mean(a, axis: int) -> Tensor:
     count = a.data.shape[axis]
 
     def bw(g):
-        a._accumulate(_restore_axes(g, axis, False, a.data.shape) / count)
+        a._accumulate(_restore_axes(g, axis, False, a.data.shape) / count, fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -498,7 +531,7 @@ def reduce_max(a, axis=None, keepdims=False) -> Tensor:
         g_exp = g if keepdims else np.expand_dims(g, axis)
         buf = np.zeros_like(a.data)
         np.put_along_axis(buf, arg, g_exp, axis)
-        a._accumulate(buf)
+        a._accumulate(buf, fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -511,7 +544,7 @@ def softmax(a, axis=-1) -> Tensor:
 
     def bw(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        a._accumulate(data * (g - dot))
+        a._accumulate(data * (g - dot), fresh=True)
 
     return _result(data, (a,), bw)
 
@@ -524,7 +557,7 @@ def log_softmax(a, axis=-1) -> Tensor:
     sm = np.exp(data)
 
     def bw(g):
-        a._accumulate(g - sm * g.sum(axis=axis, keepdims=True))
+        a._accumulate(g - sm * g.sum(axis=axis, keepdims=True), fresh=True)
 
     return _result(data, (a,), bw)
 

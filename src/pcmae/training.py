@@ -33,10 +33,20 @@ def augment(cloud: PointCloud, seed) -> PointCloud:
     return PointCloud(cloud.points * scale + shift, cloud.normals)
 
 
-def _check_finite(value: float) -> float:
+def _check_finite(value: float, epoch: int, step: int) -> float:
+    """``value`` if finite; else a DivergenceError naming the epoch and the
+    optimizer step (both counted from 1 over the whole run)."""
     if not np.isfinite(value):
-        raise DivergenceError("divergence")
+        raise DivergenceError(f"divergence: non-finite loss at epoch {epoch}, step {step}")
     return value
+
+
+def _optimizer_step(store: ParamStore, state: AdamWState, lr: float, train_cfg: TrainConfig) -> None:
+    """One AdamW step on the store's leaf gradients, which are dropped right
+    after it, so no gradient outlives its step."""
+    adamw_step(store, {name: store[name].grad for name in store.trainable_names()
+                       if store[name].grad is not None}, state, lr, train_cfg)
+    store.zero_grads()
 
 
 def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
@@ -44,10 +54,11 @@ def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
                   out_dir=None, log=None) -> tuple[ParamStore, list[tuple[int, float]]]:
     """Masked-reconstruction pretraining over a list of clouds.
 
-    Returns the trained store and the per-epoch mean loss curve. When
-    ``out_dir`` is given, checkpoints are written at the configured epochs
-    (plus the final epoch) and the loss curve as ``loss_curve.csv``; a
-    divergent step aborts with the last epoch's checkpoint on disk.
+    Returns the trained store (without gradients) and the per-epoch mean loss
+    curve. When ``out_dir`` is given, checkpoints are written at the
+    configured epochs (plus the final epoch) and the loss curve as
+    ``loss_curve.csv``; a divergent step aborts with the last epoch's
+    checkpoint on disk.
     """
     from . import dataio
 
@@ -77,13 +88,13 @@ def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
                                    store, model_cfg, train_cfg)
 
     last_saved = None
+    store.zero_grads()
     try:
         for epoch in range(1, train_cfg.epochs + 1):
             perm = rng.permutation(n)
             epoch_losses = []
             for start in range(0, n, train_cfg.batch_size):
                 batch = perm[start:start + train_cfg.batch_size]
-                store.zero_grads()
                 inv = 1.0 / len(batch)
                 for idx in batch:
                     aug_seed = int(rng.integers(2**63))
@@ -92,12 +103,9 @@ def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
                     if train_cfg.augment:
                         cloud = augment(cloud, aug_seed)
                     out = pretrain_forward(cloud, model_cfg, store, fwd_seed)
-                    epoch_losses.append(_check_finite(float(out.loss.data)))
+                    epoch_losses.append(_check_finite(float(out.loss.data), epoch, step + 1))
                     (out.loss * inv).backward()
-                lr = cosine_lr(step, total_steps, train_cfg)
-                grads = {name: store[name].grad for name in store.trainable_names()
-                         if store[name].grad is not None}
-                adamw_step(store, grads, state, lr, train_cfg)
+                _optimizer_step(store, state, cosine_lr(step, total_steps, train_cfg), train_cfg)
                 step += 1
             mean_loss = float(np.mean(epoch_losses))
             curve.append((epoch, mean_loss))
@@ -161,16 +169,17 @@ def classifier_forward(features: Tensor, store: ParamStore,
 
 def _features_matrix(items: list[LabeledItem], model_cfg: ModelConfig,
                      store: ParamStore, cache: dict | None) -> np.ndarray:
+    """Stacked float32 global features. ``cache`` maps ``id(cloud)`` to
+    ``(cloud, feature)``; an entry counts only for the very cloud it holds
+    (holding it also keeps the id from being reused)."""
     rows = []
     for cloud, _ in items:
-        key = id(cloud)
-        if cache is not None and key in cache:
-            rows.append(cache[key])
-            continue
-        feat = extract_global_feature(cloud, model_cfg, store).astype(np.float32)
-        if cache is not None:
-            cache[key] = feat
-        rows.append(feat)
+        entry = None if cache is None else cache.get(id(cloud))
+        if entry is None or entry[0] is not cloud:
+            entry = (cloud, extract_global_feature(cloud, model_cfg, store).astype(np.float32))
+            if cache is not None:
+                cache[id(cloud)] = entry
+        rows.append(entry[1])
     return np.stack(rows)
 
 
@@ -182,7 +191,8 @@ def finetune(backbone: ParamStore, train_items: list[LabeledItem],
 
     ``scope=local`` freezes every backbone tensor (verified bit-identical by
     the tests); ``scope=global`` lets gradients flow through the whole model.
-    Returns a new store containing backbone + head and the loss history.
+    Returns a new store containing backbone + head (without gradients) and
+    the loss history.
     """
     if not train_items:
         raise ValueError("empty dataset")
@@ -210,7 +220,6 @@ def finetune(backbone: ParamStore, train_items: list[LabeledItem],
         epoch_losses = []
         for start in range(0, n, train_cfg.batch_size):
             batch = perm[start:start + train_cfg.batch_size]
-            store.zero_grads()
             if local:
                 feats = Tensor(feats_const[batch])
             else:
@@ -222,11 +231,9 @@ def finetune(backbone: ParamStore, train_items: list[LabeledItem],
             logits = classifier_forward(feats, store, protocol, training=True, rng=rng)
             loss = cross_entropy(logits, labels_all[batch], protocol.num_classes,
                                  train_cfg.label_smoothing)
-            epoch_losses.append(_check_finite(float(loss.data)))
+            epoch_losses.append(_check_finite(float(loss.data), epoch, step + 1))
             loss.backward()
-            grads = {name: store[name].grad for name in store.trainable_names()
-                     if store[name].grad is not None}
-            adamw_step(store, grads, state, cosine_lr(step, total_steps, train_cfg), train_cfg)
+            _optimizer_step(store, state, cosine_lr(step, total_steps, train_cfg), train_cfg)
             step += 1
         mean_loss = float(np.mean(epoch_losses))
         history.append((epoch, mean_loss))

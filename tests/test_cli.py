@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from pcmae.cli import main
+from pcmae import training
+from pcmae.cli import EXIT_DATA, EXIT_NUMERIC, main
 from pcmae.config import ModelConfig, TrainConfig
 from pcmae.dataio import load_checkpoint, save_checkpoint, save_dataset, synth_shapes
 from pcmae.pipeline import init_pretrain_params
@@ -226,6 +227,40 @@ class TestExitCodes:
         assert out.returncode == 2, out.stderr
         assert "data error" in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_nan_in_checkpoint_is_data_error(self, dataset, pretrain_ckpt, tmp_path):
+        # tensors are written name-sorted, so the file ends in the last
+        # name's last float32
+        last = sorted(load_checkpoint(pretrain_ckpt)[0])[-1]
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(pretrain_ckpt.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+        out = subprocess.run([sys.executable, "-m", "pcmae.cli", "extract",
+                              "--dataset", str(dataset), "--checkpoint", str(bad),
+                              "--out", str(tmp_path / "f.csv")],
+                             capture_output=True, text=True)
+        assert out.returncode == EXIT_DATA, out.stderr
+        assert f"data error: {bad}: non-finite values in tensor {last!r}" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_divergence_is_numeric_error(self, dataset, config_file, tmp_path,
+                                         monkeypatch, capsys):
+        # six clouds, batch 3: the seventh forward is epoch 2's first step,
+        # the run's third
+        real, calls = training.pretrain_forward, []
+
+        def forward(*args):
+            out = real(*args)
+            calls.append(1)
+            if len(calls) == 7:
+                out.loss = out.loss * float("nan")
+            return out
+
+        monkeypatch.setattr(training, "pretrain_forward", forward)
+        rc = main(["pretrain", "--dataset", str(dataset), "--config", str(config_file),
+                   "--epochs", "2", "--batch-size", "3", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERIC
+        assert ("numerical failure: divergence: non-finite loss at epoch 2, step 3"
+                in capsys.readouterr().err)
 
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "pcmae.cli", "--help"],

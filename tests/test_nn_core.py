@@ -169,6 +169,56 @@ class TestFusedOps:
         np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
 
 
+class TestTapeHygiene:
+    """A graph is freed as its backward runs: only leaves keep ``.grad``."""
+
+    def test_add_parents_never_alias(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        ((a + b) * Tensor(np.arange(3.0))).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(b.grad, [0.0, 1.0, 2.0])
+
+    def test_add_of_a_tensor_to_itself(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x + x
+        z = Tensor(np.ones(3), requires_grad=True)
+        (y * 3.0 + (y + z)).sum().backward()
+        np.testing.assert_array_equal(x.grad, [8.0, 8.0, 8.0])
+        np.testing.assert_array_equal(z.grad, [1.0, 1.0, 1.0])
+        assert not np.shares_memory(x.grad, z.grad)
+
+    def test_interior_nodes_are_freed_and_leaves_keep_grad(self):
+        w = Tensor(np.full((2, 2), 0.5), requires_grad=True)
+        x = Tensor(np.ones((3, 2)))
+        h = T.gelu(x @ w)
+        loss = (h * h).mean()
+        loss.backward()
+        for node in (h, loss):
+            assert node.grad is None and node._parents == ()
+        assert w.grad is not None and w.grad.shape == (2, 2)
+        assert x.grad is None
+
+    def test_second_backward_raises(self):
+        w = Tensor(np.full(3, 2.0), requires_grad=True)
+        loss = (w * w).sum()
+        loss.backward()
+        before = w.grad.copy()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, before)
+
+    def test_new_graph_through_a_consumed_node_raises(self):
+        w = Tensor(np.full(3, 2.0), requires_grad=True)
+        h = w * 3.0
+        h.sum().backward()
+        w.zero_grad()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            (h * h).sum().backward()
+        assert w.grad is None
+
+
 class TestPooling:
     def test_max_of_one_hot(self):
         x = np.zeros((2, 5))

@@ -1,5 +1,8 @@
 """Masked-autoencoder pipeline: masking, reconstruction head, Chamfer loss
-against a double-loop oracle, the full pretraining pass, feature extraction."""
+against a double-loop oracle, the full pretraining pass, its autodiff memory,
+feature extraction."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from pcmae.pipeline import (chamfer_l2, chamfer_l2_t, extract_global_feature,
                             random_mask, reconstruction_dump, reconstruction_head,
                             tokenize)
 from pcmae.selfcheck import chamfer_oracle, randomize_params
+from pcmae import tensor as T
 from pcmae.tensor import ParamStore, Tensor
 
 TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
@@ -206,6 +210,81 @@ class TestPretrainForward:
             lambda: pretrain_forward(cloud, TINY, store, seed=9).loss,
             store, max_coords=250, rng=18, min_grad=1e-6)
         assert err < 1e-4
+
+
+def reference_accumulate(self, g, fresh=False):
+    """Copy on every first write, whoever made ``g``."""
+    if not self.requires_grad:
+        return
+    g = T._unbroadcast(np.asarray(g, dtype=self.data.dtype), self.data.shape)
+    if self.grad is None:
+        self.grad = g.copy()
+    else:
+        self.grad += g
+
+
+def reference_backward(self):
+    """The whole graph kept alive: every node keeps its grad, closure and
+    parents until the caller drops it."""
+    topo, seen, stack = [], set(), [(self, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    self.grad = np.ones_like(self.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestTapeMemory:
+    """One default-config forward + backward: freeing the graph as it goes
+    and keeping fresh gradient arrays changes no gradient bit."""
+
+    @pytest.fixture(scope="class")
+    def default_run(self):
+        cfg = ModelConfig()
+        items, _ = synth_shapes(["torus", "cube"], per_class=1, n_points=cfg.n, seed=5)
+        return cfg, init_pretrain_params(cfg, seed=0), [c for c, _ in items]
+
+    @staticmethod
+    def grads(cfg, store, cloud):
+        store.zero_grads()
+        pretrain_forward(cloud, cfg, store, seed=4).loss.backward()
+        out = {n: t.grad for n, t in store.items() if t.grad is not None}
+        store.zero_grads()
+        return out
+
+    def test_gradients_match_reference_bytes(self, default_run, monkeypatch):
+        cfg, store, clouds = default_run
+        new = self.grads(cfg, store, clouds[1])
+        monkeypatch.setattr(Tensor, "_accumulate", reference_accumulate)
+        monkeypatch.setattr(Tensor, "backward", reference_backward)
+        ref = self.grads(cfg, store, clouds[1])
+        assert sorted(new) == sorted(ref) == store.trainable_names()
+        for name in ref:
+            assert new[name].flags.c_contiguous
+            assert new[name].dtype == ref[name].dtype
+            assert new[name].tobytes() == ref[name].tobytes(), name
+
+    def test_traced_peak(self, default_run):
+        # parameter gradients alone are 99 MB; keeping every interior
+        # gradient and first-write copy alive peaked at 203 MB
+        cfg, store, clouds = default_run
+        self.grads(cfg, store, clouds[0])       # first-call costs stay out
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pretrain_forward(clouds[1], cfg, store, seed=4).loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+            store.zero_grads()
+        assert peak < 180 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 class TestGlobalFeature:

@@ -10,7 +10,7 @@ from pcmae.config import FinetuneProtocol, ModelConfig, TrainConfig
 from pcmae.dataio import synth_shapes
 from pcmae.geometry import PointCloud
 from pcmae.optim import AdamWState, DivergenceError, adamw_step, cosine_lr
-from pcmae.pipeline import init_pretrain_params
+from pcmae.pipeline import extract_global_feature, init_pretrain_params
 from pcmae.tensor import ParamStore
 from pcmae.training import (augment, evaluate_classifier, few_shot_episode,
                             finetune, pretrain_loop, run_few_shot)
@@ -303,6 +303,29 @@ class TestPretrainLoop:
         assert len(lines) == 3
         assert (tmp_path / "checkpoint_epoch0002.ckpt").exists()
 
+    def test_returned_store_carries_no_gradients(self):
+        clouds = [c for c, _ in tiny_dataset(per_class=1)[0]]
+        store, _ = pretrain_loop(clouds, TrainConfig(epochs=1, batch_size=1, seed=0), TINY)
+        assert all(t.grad is None for _, t in store.items())
+
+    def test_divergence_names_epoch_and_step(self, monkeypatch):
+        # two clouds, batch 1: the third forward is epoch 2's first step,
+        # the run's third
+        clouds = [c for c, _ in tiny_dataset(per_class=1)[0]]
+        real, calls = training.pretrain_forward, []
+
+        def forward(*args):
+            out = real(*args)
+            calls.append(1)
+            if len(calls) == 3:
+                out.loss = out.loss * float("nan")
+            return out
+
+        monkeypatch.setattr(training, "pretrain_forward", forward)
+        with pytest.raises(DivergenceError,
+                           match=r"^divergence: non-finite loss at epoch 2, step 3$"):
+            pretrain_loop(clouds, TrainConfig(epochs=2, batch_size=1, seed=0), TINY)
+
 
 class TestLoopsMatchReference:
     """Whole loops with the blocked step give the reference's parameters."""
@@ -348,6 +371,34 @@ class TestFinetune:
         cfg = TrainConfig(epochs=1, batch_size=4, seed=0, augment=False)
         tuned, _ = finetune(backbone, items, protocol, cfg, TINY)
         assert store_digest(tuned, prefixes=("gate.", "enc.")) != digest_before
+        assert all(t.grad is None for _, t in tuned.items())
+
+    def test_divergence_names_epoch_and_step(self, monkeypatch):
+        # four items, batch 2: the fourth loss is epoch 2's second step
+        items, _ = tiny_dataset(per_class=2)
+        backbone = init_pretrain_params(TINY, seed=2)
+        protocol = FinetuneProtocol(scope="local", head="linear", num_classes=2)
+        real, calls = training.cross_entropy, []
+
+        def loss_fn(*args):
+            calls.append(1)
+            return real(*args) * (float("nan") if len(calls) == 4 else 1.0)
+
+        monkeypatch.setattr(training, "cross_entropy", loss_fn)
+        with pytest.raises(DivergenceError,
+                           match=r"^divergence: non-finite loss at epoch 2, step 4$"):
+            finetune(backbone, items, protocol,
+                     TrainConfig(epochs=2, batch_size=2, seed=0, augment=False), TINY)
+
+    def test_feature_cache_ignores_a_stale_entry_under_a_reused_id(self):
+        (old, _), (new, _) = tiny_dataset(per_class=1)[0]
+        store = init_pretrain_params(TINY, seed=2)
+        # as if ``old`` had been freed and ``new`` had been given its id
+        cache = {id(new): (old, extract_global_feature(old, TINY, store))}
+        feats = training._features_matrix([(new, 0)], TINY, store, cache)
+        want = extract_global_feature(new, TINY, store)
+        assert same_bytes(feats[0], want.astype(np.float32))
+        assert cache[id(new)][0] is new
 
     def test_linear_head_parameter_count(self):
         items, names = tiny_dataset(per_class=1)
