@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -310,28 +311,37 @@ def save_checkpoint(path, store: ParamStore, model_cfg: ModelConfig,
                     extra: dict | None = None) -> None:
     """Binary serialization: magic, version, config JSON, then name-sorted
     float32 little-endian tensors. Two saves of the same state are
-    byte-identical."""
+    byte-identical. The bytes go to a temporary file in the same directory,
+    which then replaces ``path`` in one step, so a save that fails part way
+    leaves any earlier file at ``path`` as it was and no temporary behind."""
     config_block = {
         "model": model_config_to_dict(model_cfg),
         "train": train_config_to_dict(train_cfg) if train_cfg is not None else None,
         "extra": extra or {},
     }
     blob = _canonical_json(config_block)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        names = store.names()
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            data = np.ascontiguousarray(store[name].data, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(data.tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            names = store.names()
+            fh.write(struct.pack("<I", len(names)))
+            for name in names:
+                data = np.ascontiguousarray(store[name].data, dtype="<f4")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", data.ndim))
+                fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
+                fh.write(data.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, count: int, path) -> bytes:

@@ -23,11 +23,27 @@ a copy. So no two tensors ever share one gradient array.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf as _erf
 
 # python floats stay "weak" under NEP 50 and do not promote float32 graphs
-_SQRT2 = float(np.sqrt(2.0))
+_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+# Elements per block of the erf and GELU kernels. At 2^15 a GELU block's five
+# float32 slices (640 KiB) stay in a 2 MiB L2 cache while each ufunc call
+# covers enough elements to hide its dispatch cost: on a 2-CPU Xeon, erf over
+# 786k float32 took 7.8 ms in 2^12 blocks, 3.4 ms at 2^14, 3.2 ms at 2^15 and
+# 3.0 ms at 2^16.
+BLOCK = 1 << 15
+
+# erf(z) = tanh(z * P(z^2) / Q(z^2)), a weighted minimax fit of
+# atanh(erf(z)) / z on 0 <= z <= 4 (highest degree first). Through tanh the
+# rational's rounding error is damped where erf approaches +-1, and the result
+# saturates at exactly +-1. Beyond |z| = 4, z^2 is clamped, so the argument
+# of tanh keeps growing with |z| (above 9.3) and erf stays within 1.6e-8 of 1.
+_ERF_P = (0.0021782808352485204, 0.04264654626161302, 0.2798068091572569,
+          1.1283791708431121)
+_ERF_Q = (0.00032492415569259915, 0.02368991867396206, 0.15689256043079816, 1.0)
+_ERF_Z2_MAX = 16.0
 
 
 def _consumed(g=None):
@@ -296,16 +312,83 @@ def relu(a) -> Tensor:
     return _result(data, (a,), bw)
 
 
+def _erf_block(z: np.ndarray, out: np.ndarray, t: np.ndarray, p: np.ndarray) -> None:
+    """Write erf(z) into ``out``. All four are 1-D arrays of one length and
+    dtype; ``t`` and ``p`` are scratch, and ``out`` must not alias ``z``.
+    Every step is an elementwise ufunc, so the result does not depend on
+    where a block starts, and it is odd in z bit for bit."""
+    np.multiply(z, z, out=t)
+    np.minimum(t, _ERF_Z2_MAX, out=t)
+    np.multiply(t, _ERF_P[0], out=p)
+    for c in _ERF_P[1:-1]:
+        p += c
+        p *= t
+    p += _ERF_P[-1]
+    np.multiply(t, _ERF_Q[0], out=out)
+    for c in _ERF_Q[1:-1]:
+        out += c
+        out *= t
+    out += _ERF_Q[-1]
+    p /= out
+    p *= z
+    np.tanh(p, out=out)
+
+
+def _erf(x) -> np.ndarray:
+    """erf of an array, in its float dtype (integers give float64), walked
+    in ``BLOCK``-element slices. Measured against ``math.erf``: within 5
+    float32 ulps and 1.6e-7 for every float32 input, within 3.4e-9 in
+    float64; +-0, +-inf and nan map to +-0, +-1 and nan."""
+    x = np.asarray(x)
+    out = np.empty(x.shape, np.result_type(x, np.float32))
+    xf, of = x.reshape(-1), out.reshape(-1)
+    z, t, p = (np.empty(min(BLOCK, xf.size), out.dtype) for _ in range(3))
+    with np.errstate(over="ignore"):        # z*z of a huge z saturates
+        for lo in range(0, xf.size, BLOCK):
+            n = min(BLOCK, xf.size - lo)
+            np.copyto(z[:n], xf[lo:lo + n])
+            _erf_block(z[:n], of[lo:lo + n], t[:n], p[:n])
+    return out
+
+
 def gelu(a) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact GELU, x * Phi(x) with the normal CDF Phi(x) = (1 + erf(x / sqrt 2)) / 2.
+
+    erf comes from ``_erf``'s kernel, so its approximation error is bounded:
+    within 5 float32 ulps, and 3.4e-9 in float64. The forward writes Phi
+    (kept for the backward) and the output block by block, and the backward
+    computes g * (Phi + x * phi) the same way in its result's slots, so
+    neither makes a full-size temporary."""
     a = as_tensor(a)
-    x = a.data
-    cdf = 0.5 * (1.0 + _erf(x / _SQRT2))
-    data = x * cdf
+    x = a.data.reshape(-1)
+    data = np.empty(a.data.shape, np.result_type(x, np.float32))
+    out, cdf = data.reshape(-1), np.empty(x.size, data.dtype)
+    t = np.empty(min(BLOCK, x.size), data.dtype)
+    p = np.empty_like(t)
+    with np.errstate(over="ignore"):
+        for lo in range(0, x.size, BLOCK):
+            n = min(BLOCK, x.size - lo)
+            xb, cb, ob = x[lo:lo + n], cdf[lo:lo + n], out[lo:lo + n]
+            np.multiply(xb, _INV_SQRT2, out=ob)     # x / sqrt 2, in the output's slot
+            _erf_block(ob, cb, t[:n], p[:n])
+            cb += 1.0
+            cb *= 0.5
+            np.multiply(xb, cb, out=ob)
 
     def bw(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        a._accumulate(g * (cdf + x * pdf), fresh=True)
+        gf = g.reshape(-1)
+        dx = np.empty(a.data.shape, data.dtype)
+        df = dx.reshape(-1)
+        for lo in range(0, x.size, BLOCK):
+            xb, db = x[lo:lo + BLOCK], df[lo:lo + BLOCK]
+            np.multiply(xb, xb, out=db)
+            db *= -0.5
+            np.exp(db, out=db)
+            db *= _INV_SQRT2PI                      # phi(x)
+            db *= xb
+            db += cdf[lo:lo + BLOCK]
+            db *= gf[lo:lo + BLOCK]
+        a._accumulate(dx, fresh=True)
 
     return _result(data, (a,), bw)
 

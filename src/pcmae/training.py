@@ -41,11 +41,17 @@ def _check_finite(value: float, epoch: int, step: int) -> float:
     return value
 
 
-def _optimizer_step(store: ParamStore, state: AdamWState, lr: float, train_cfg: TrainConfig) -> None:
+def _optimizer_step(store: ParamStore, state: AdamWState, lr: float, train_cfg: TrainConfig,
+                    epoch: int, step: int) -> None:
     """One AdamW step on the store's leaf gradients, which are dropped right
-    after it, so no gradient outlives its step."""
-    adamw_step(store, {name: store[name].grad for name in store.trainable_names()
-                       if store[name].grad is not None}, state, lr, train_cfg)
+    after it, so no gradient outlives its step. A non-finite gradient raises
+    AdamW's DivergenceError with the epoch and the step appended, as counted
+    for the loss check."""
+    try:
+        adamw_step(store, {name: store[name].grad for name in store.trainable_names()
+                           if store[name].grad is not None}, state, lr, train_cfg)
+    except DivergenceError as exc:
+        raise DivergenceError(f"{exc} at epoch {epoch}, step {step}") from None
     store.zero_grads()
 
 
@@ -105,7 +111,8 @@ def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
                     out = pretrain_forward(cloud, model_cfg, store, fwd_seed)
                     epoch_losses.append(_check_finite(float(out.loss.data), epoch, step + 1))
                     (out.loss * inv).backward()
-                _optimizer_step(store, state, cosine_lr(step, total_steps, train_cfg), train_cfg)
+                _optimizer_step(store, state, cosine_lr(step, total_steps, train_cfg), train_cfg,
+                                epoch, step + 1)
                 step += 1
             mean_loss = float(np.mean(epoch_losses))
             curve.append((epoch, mean_loss))
@@ -233,7 +240,8 @@ def finetune(backbone: ParamStore, train_items: list[LabeledItem],
                                  train_cfg.label_smoothing)
             epoch_losses.append(_check_finite(float(loss.data), epoch, step + 1))
             loss.backward()
-            _optimizer_step(store, state, cosine_lr(step, total_steps, train_cfg), train_cfg)
+            _optimizer_step(store, state, cosine_lr(step, total_steps, train_cfg), train_cfg,
+                            epoch, step + 1)
             step += 1
         mean_loss = float(np.mean(epoch_losses))
         history.append((epoch, mean_loss))

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from pcmae import tensor as T
 from pcmae import training
 from pcmae.cli import EXIT_DATA, EXIT_NUMERIC, main
 from pcmae.config import ModelConfig, TrainConfig
@@ -261,6 +262,36 @@ class TestExitCodes:
         assert rc == EXIT_NUMERIC
         assert ("numerical failure: divergence: non-finite loss at epoch 2, step 3"
                 in capsys.readouterr().err)
+
+    def test_gradient_divergence_is_numeric_error(self, dataset, config_file, tmp_path,
+                                                  monkeypatch, capsys):
+        # six clouds, batch 3: at the seventh forward (epoch 2, step 3) the
+        # loss stays finite and the first parameter's gradient turns NaN
+        real, calls = training.pretrain_forward, []
+
+        def forward(cloud, cfg, store, seed):
+            out = real(cloud, cfg, store, seed)
+            calls.append(1)
+            if len(calls) == 7:
+                first = store[store.trainable_names()[0]]
+                out.loss = out.loss + T.sqrt(first * 0.0).sum()
+            return out
+
+        monkeypatch.setattr(training, "pretrain_forward", forward)
+        rc = main(["pretrain", "--dataset", str(dataset), "--config", str(config_file),
+                   "--epochs", "2", "--batch-size", "3", "--out", str(tmp_path / "o")])
+        first = init_pretrain_params(TINY, seed=0).trainable_names()[0]
+        assert rc == EXIT_NUMERIC
+        assert (f"numerical failure: divergence: non-finite gradient in {first} "
+                "at epoch 2, step 3" in capsys.readouterr().err)
+
+    def test_no_scipy_module_is_loaded(self):
+        out = subprocess.run([sys.executable, "-c",
+                              "import sys, pcmae.cli; "
+                              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "pcmae.cli", "--help"],

@@ -239,3 +239,17 @@ class TestCheckpoint:
         assert loaded.names() == store.names()
         for name, t in store.items():
             assert np.array_equal(loaded[name].data, t.data)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        store = init_pretrain_params(TINY, seed=7)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, store, TINY, TrainConfig())
+        before = path.read_bytes()
+        # sorts last, so the header and every other tensor are written before
+        # its float32 conversion raises
+        store.add("zz", np.zeros(1))
+        store["zz"].data = np.array(["not a number"])
+        with pytest.raises(ValueError):
+            save_checkpoint(path, store, TINY, TrainConfig())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

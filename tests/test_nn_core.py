@@ -1,4 +1,6 @@
 """Autodiff primitives, parameter store, and the finite-difference harness."""
+import math
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,99 @@ class TestElementwiseGradients:
         kept = out_train.data != 0.0
         assert 0.3 < kept.mean() < 0.7
         np.testing.assert_allclose(out_train.data[kept], 2.0)
+
+
+def erf_ulps(x32: np.ndarray, got: np.ndarray) -> np.ndarray:
+    """Distance of float32 results from float32(math.erf(x)), in units of the
+    reference's last place."""
+    want = np.array([math.erf(float(v)) for v in x32]).astype(np.float32)
+    return np.abs(got.astype(np.float64) - want) / np.spacing(np.abs(want))
+
+
+class TestErf:
+    """``tensor._erf`` against ``math.erf``: within 8 float32 ulps and 5e-7 in
+    float32, within 5e-8 in float64, odd bit for bit and bounded by 1."""
+
+    GRID = np.concatenate([np.linspace(-8.0, 8.0, 160_001),
+                           np.geomspace(1e-38, 8.0, 20_001),
+                           -np.geomspace(1e-38, 8.0, 20_001)])
+
+    def test_float64_accuracy(self):
+        want = np.array([math.erf(v) for v in self.GRID])
+        assert np.abs(T._erf(self.GRID) - want).max() <= 5e-8
+
+    def test_float32_accuracy(self):
+        x = self.GRID.astype(np.float32)
+        got = T._erf(x)
+        assert erf_ulps(x, got).max() <= 8
+        want = np.array([math.erf(float(v)) for v in x])
+        assert np.abs(got.astype(np.float64) - want).max() <= 5e-7
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd_and_bounded(self, dtype):
+        rng = np.random.default_rng(30)
+        mags = 10.0 ** rng.uniform(-37, 37, 50_000)
+        x = np.concatenate([self.GRID, mags, np.linspace(0, 12, 50_001)]).astype(dtype)
+        pos, neg = T._erf(x), T._erf(-x)
+        assert (-pos).tobytes() == neg.tobytes()
+        assert np.all(np.abs(pos) <= 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values(self, dtype):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype)
+        got = T._erf(x)
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert got[1] == 0.0 and np.signbit(got[1])
+        assert got[2] == 1.0 and got[3] == -1.0
+        assert np.isnan(got[4])
+
+    @pytest.mark.parametrize("n", [0, T.BLOCK - 1, T.BLOCK, T.BLOCK + 1, 2 * T.BLOCK + 77])
+    def test_block_straddling_sizes(self, n):
+        x = np.random.default_rng(n).normal(0.0, 2.0, n).astype(np.float32)
+        got = T._erf(x)
+        assert got.shape == (n,) and got.dtype == np.float32
+        # a result does not depend on where its block starts
+        if n:
+            shifted = np.concatenate([T._erf(x[:1]), T._erf(x[1:])])
+            assert shifted.tobytes() == got.tobytes()
+            assert erf_ulps(x[::97], got[::97]).max() <= 8
+
+    def test_shape_and_dtype_preserved(self):
+        x = np.random.default_rng(31).normal(size=(3, 5, 7))
+        for dtype in (np.float32, np.float64):
+            got = T._erf(x.astype(dtype))
+            assert got.shape == x.shape and got.dtype == dtype
+            assert got.tobytes() == T._erf(x.astype(dtype).reshape(-1)).tobytes()
+        zero_d = T._erf(np.float32(0.5))
+        assert zero_d.shape == () and zero_d.dtype == np.float32
+        assert T._erf(np.array(0.5)).dtype == np.float64
+        empty = T._erf(np.zeros((0, 4), np.float32))
+        assert empty.shape == (0, 4) and empty.dtype == np.float32
+
+
+class TestGelu:
+    def test_forward_matches_math_erf_in_float64(self):
+        x = np.linspace(-10.0, 10.0, 40_001)
+        want = np.array([v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+        got = T.gelu(Tensor(x)).data
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= 2.5e-8 * np.abs(x) + 1e-15)
+
+    def test_blocks_match_the_whole_array_expression(self):
+        # float32, across block boundaries: the forward is x * Phi with Phi
+        # from one whole-array _erf, and the backward is g * (Phi + x * phi)
+        rng = np.random.default_rng(32)
+        x = rng.normal(0.0, 2.0, (2 * T.BLOCK + 77,)).astype(np.float32)
+        w = rng.normal(size=x.shape).astype(np.float32)
+        t = Tensor(x, requires_grad=True)
+        y = T.gelu(t)
+        (y * Tensor(w)).sum().backward()
+        cdf = T._erf(x * np.float32(1.0 / math.sqrt(2.0)))
+        cdf += 1.0
+        cdf *= 0.5
+        assert y.data.dtype == np.float32 and y.data.tobytes() == (x * cdf).tobytes()
+        pdf = np.float32(1.0 / math.sqrt(2.0 * math.pi)) * np.exp(np.float32(-0.5) * x * x)
+        np.testing.assert_allclose(t.grad, w * (cdf + x * pdf), rtol=1e-6, atol=1e-7)
 
 
 class TestCrossEntropy:

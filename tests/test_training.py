@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pcmae import optim, training
+from pcmae import tensor as T
 from pcmae.config import FinetuneProtocol, ModelConfig, TrainConfig
 from pcmae.dataio import synth_shapes
 from pcmae.geometry import PointCloud
@@ -327,6 +328,32 @@ class TestPretrainLoop:
             pretrain_loop(clouds, TrainConfig(epochs=2, batch_size=1, seed=0), TINY)
 
 
+    def test_gradient_divergence_names_epoch_and_step(self, monkeypatch):
+        # a finite loss whose backward leaves NaN in the first parameter's
+        # gradient at the run's third step
+        clouds = [c for c, _ in tiny_dataset(per_class=1)[0]]
+        real, calls = training.pretrain_forward, []
+
+        def forward(cloud, cfg, store, seed):
+            out = real(cloud, cfg, store, seed)
+            calls.append(1)
+            if len(calls) == 3:
+                out.loss = out.loss + poison(store[store.trainable_names()[0]])
+            return out
+
+        monkeypatch.setattr(training, "pretrain_forward", forward)
+        first = init_pretrain_params(TINY, seed=0).trainable_names()[0]
+        with pytest.raises(DivergenceError, match=rf"^divergence: non-finite gradient in "
+                                                  rf"{first} at epoch 2, step 3$"):
+            pretrain_loop(clouds, TrainConfig(epochs=2, batch_size=1, seed=0), TINY)
+
+
+def poison(param):
+    """A scalar that reads 0 but whose backward writes NaN into ``param``'s
+    gradient: d sqrt(u)/du is infinite at u = 0, and inf * 0 is NaN."""
+    return T.sqrt(param * 0.0).sum()
+
+
 class TestLoopsMatchReference:
     """Whole loops with the blocked step give the reference's parameters."""
 
@@ -389,6 +416,29 @@ class TestFinetune:
                            match=r"^divergence: non-finite loss at epoch 2, step 4$"):
             finetune(backbone, items, protocol,
                      TrainConfig(epochs=2, batch_size=2, seed=0, augment=False), TINY)
+
+    def test_gradient_divergence_names_epoch_and_step(self, monkeypatch):
+        # global scope, four items, batch 2: the fourth step's logits carry a
+        # zero term that leaves NaN in the first parameter's gradient
+        items, _ = tiny_dataset(per_class=2)
+        backbone = init_pretrain_params(TINY, seed=2)
+        protocol = FinetuneProtocol(scope="global", head="linear", num_classes=2)
+        real, calls, poisoned = training.classifier_forward, [], []
+
+        def forward(feats, store, *args, **kwargs):
+            logits = real(feats, store, *args, **kwargs)
+            calls.append(1)
+            if len(calls) == 4:
+                poisoned.append(store.trainable_names()[0])
+                logits = logits + poison(store[poisoned[0]])
+            return logits
+
+        monkeypatch.setattr(training, "classifier_forward", forward)
+        with pytest.raises(DivergenceError) as err:
+            finetune(backbone, items, protocol,
+                     TrainConfig(epochs=2, batch_size=2, seed=0, augment=False), TINY)
+        assert str(err.value) == (f"divergence: non-finite gradient in {poisoned[0]} "
+                                  "at epoch 2, step 4")
 
     def test_feature_cache_ignores_a_stale_entry_under_a_reused_id(self):
         (old, _), (new, _) = tiny_dataset(per_class=1)[0]
