@@ -1,13 +1,17 @@
 """AdamW with decoupled weight decay and the cosine learning-rate schedule.
 
-``adamw_step`` is one fused pass per tensor: it walks the raveled gradient,
-moments and parameter in blocks of ``BLOCK`` elements through three float64
-scratch buffers, so its working memory is O(block) rather than about ten
-full-size float64 temporaries per tensor. Each block applies the textbook
-float64 expression's ufuncs in the same order, so parameters and moments are
-bit-identical to evaluating it over whole arrays. Every gradient is checked
-(finite, and shaped like its parameter) before anything is written, so a
-diverging step leaves parameters, moments and the step count untouched.
+``adamw_step`` keeps both moments, and does its arithmetic, in each
+parameter's own dtype, as PyTorch's AdamW does: float32 parameters get
+float32 moments (8 bytes of state per parameter), and float64 parameters get
+the float64 update. It is one fused pass per tensor: it walks the raveled
+gradient, moments and parameter in blocks of ``BLOCK`` elements through two
+scratch buffers per dtype, so its working memory is O(block) rather than
+about ten full-size temporaries per tensor. Each block applies the textbook
+expression's ufuncs in the same order, so parameters and moments are
+bit-identical to evaluating it over whole arrays in the parameter's dtype.
+Every gradient is checked (finite, and shaped like its parameter) before
+anything is written, so a diverging step leaves parameters, moments and the
+step count untouched.
 """
 from __future__ import annotations
 
@@ -18,10 +22,11 @@ import numpy as np
 from .config import TrainConfig
 from .tensor import ParamStore
 
-# Elements per block. At 2^15 a block's scratch and moment slices (1.25 MiB of
-# float64) stay in a 2 MiB L2 cache, and the ~20 ufunc calls per block cost
-# little next to the arithmetic: on a 2-CPU Xeon a default-config step took
-# 339 ms at 2^15, 346 at 2^14, 363 at 2^16, 466 at 2^12 and 444 at 2^18.
+# Elements per block. At 2^15 a float32 block's gradient, moment, parameter,
+# output and scratch slices (896 KiB) stay in L2 cache, and the ~16 ufunc
+# calls per block cost little next to the arithmetic: on a 2-CPU Xeon a
+# default-config float32 step (25.9M parameters) took a median 171-174 ms at
+# 2^15, 170-177 at 2^16, 192-193 at 2^17, 193-195 at 2^14 and 230 at 2^13.
 BLOCK = 1 << 15
 
 
@@ -38,7 +43,8 @@ def cosine_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 class AdamWState:
-    """First/second moment buffers per trainable parameter plus a step count."""
+    """First/second moment buffers per trainable parameter, each C-ordered
+    and of its parameter's dtype, plus a step count."""
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
@@ -54,7 +60,8 @@ def adamw_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamWStat
     Frozen entries and names missing from ``grads`` are untouched. A
     non-finite gradient raises "divergence" naming the first such parameter,
     and a misshapen one raises ValueError, both before any state changes.
-    Each updated parameter gets a fresh array; the old one is never written.
+    A gradient of another dtype is cast to its parameter's dtype first. Each
+    updated parameter gets a fresh array; the old one is never written.
     """
     todo = []
     for name in store.trainable_names():
@@ -72,43 +79,43 @@ def adamw_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamWStat
     b1, b2, eps, wd = cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    size = min(BLOCK, max((g.size for _, _, g in todo), default=0))
-    s0, s1, s2 = (np.empty(size, np.float64) for _ in range(3))
+    sizes: dict[np.dtype, int] = {}
+    for _, p, g in todo:
+        sizes[p.data.dtype] = min(BLOCK, max(sizes.get(p.data.dtype, 0), g.size))
+    scratch = {dtype: (np.empty(n, dtype), np.empty(n, dtype)) for dtype, n in sizes.items()}
     for name, p, g in todo:
+        dtype = p.data.dtype
+        s1, s2 = scratch[dtype]
         if name not in state.m:
             # C order, so the raveled moments below are views, never copies
-            state.m[name] = np.zeros(g.shape, np.float64)
-            state.v[name] = np.zeros(g.shape, np.float64)
+            state.m[name] = np.zeros(g.shape, dtype)
+            state.v[name] = np.zeros(g.shape, dtype)
         m = state.m[name].reshape(-1)
         v = state.v[name].reshape(-1)
         old = p.data.reshape(-1)
-        new = np.empty(p.data.shape, p.data.dtype)
+        new = np.empty(p.data.shape, dtype)
         out = new.reshape(-1)
-        gf = g.reshape(-1)
+        gf = g.astype(dtype, copy=False).reshape(-1)
         for lo in range(0, gf.size, BLOCK):
             hi = min(lo + BLOCK, gf.size)
             n = hi - lo
-            g64, t1, t2 = s0[:n], s1[:n], s2[:n]
-            mb, vb = m[lo:hi], v[lo:hi]
-            np.copyto(g64, gf[lo:hi])
+            t1, t2 = s1[:n], s2[:n]
+            gb, mb, vb, pb = gf[lo:hi], m[lo:hi], v[lo:hi], old[lo:hi]
             mb *= b1
-            np.multiply(g64, 1.0 - b1, out=t1)
+            np.multiply(gb, 1.0 - b1, out=t1)
             mb += t1
             vb *= b2
-            np.multiply(g64, 1.0 - b2, out=t1)
-            t1 *= g64
+            np.multiply(gb, 1.0 - b2, out=t1)
+            t1 *= gb
             vb += t1
             np.divide(mb, bc1, out=t1)                 # m_hat
             np.divide(vb, bc2, out=t2)                 # v_hat
             np.sqrt(t2, out=t2)
             t2 += eps
             t1 /= t2                                   # m_hat / (sqrt(v_hat) + eps)
-            p64 = t2
-            np.copyto(p64, old[lo:hi])
-            np.multiply(p64, wd, out=g64)
-            t1 += g64                                  # + weight_decay * theta
+            np.multiply(pb, wd, out=t2)
+            t1 += t2                                   # + weight_decay * theta
             t1 *= lr
-            np.subtract(p64, t1, out=t1)
-            np.copyto(out[lo:hi], t1)
+            np.subtract(pb, t1, out=out[lo:hi])
         p.data = new
     return state

@@ -46,6 +46,33 @@ _ERF_Q = (0.00032492415569259915, 0.02368991867396206, 0.15689256043079816, 1.0)
 _ERF_Z2_MAX = 16.0
 
 
+class _Consts:
+    """The erf and GELU kernels' constants as 0-d arrays of one dtype. A ufunc
+    rounds a Python float operand to the array's dtype anyway, so the values
+    are the same; a typed operand just skips that conversion, which is most
+    of a small call's cost."""
+
+    def __init__(self, dtype):
+        def c(v):
+            return np.array(v, dtype)
+
+        self.z2_max = c(_ERF_Z2_MAX)
+        self.p = tuple(map(c, _ERF_P))
+        self.q = tuple(map(c, _ERF_Q))
+        self.one, self.half, self.minus_half = c(1.0), c(0.5), c(-0.5)
+        self.inv_sqrt2, self.inv_sqrt2pi = c(_INV_SQRT2), c(_INV_SQRT2PI)
+
+
+_CONSTS: dict[np.dtype, _Consts] = {}
+
+
+def _consts(dtype) -> _Consts:
+    k = _CONSTS.get(dtype)
+    if k is None:
+        k = _CONSTS[dtype] = _Consts(dtype)
+    return k
+
+
 def _consumed(g=None):
     """Stands in for the closure of an interior node whose backward has run."""
     raise RuntimeError("backward through a graph that was already backpropagated; "
@@ -312,25 +339,26 @@ def relu(a) -> Tensor:
     return _result(data, (a,), bw)
 
 
-def _erf_block(z: np.ndarray, out: np.ndarray, t: np.ndarray, p: np.ndarray) -> None:
+def _erf_block(z: np.ndarray, out: np.ndarray, t: np.ndarray, p: np.ndarray,
+               k: _Consts) -> None:
     """Write erf(z) into ``out``. All four are 1-D arrays of one length and
-    dtype; ``t`` and ``p`` are scratch, and ``out`` must not alias ``z``.
-    Every step is an elementwise ufunc, so the result does not depend on
-    where a block starts, and it is odd in z bit for bit."""
+    dtype, which is ``k``'s; ``t`` and ``p`` are scratch, and ``out`` must
+    not alias ``z``. Every step is an elementwise ufunc, so the result does
+    not depend on where a block starts, and it is odd in z bit for bit."""
     np.multiply(z, z, out=t)
-    np.minimum(t, _ERF_Z2_MAX, out=t)
-    np.multiply(t, _ERF_P[0], out=p)
-    for c in _ERF_P[1:-1]:
-        p += c
-        p *= t
-    p += _ERF_P[-1]
-    np.multiply(t, _ERF_Q[0], out=out)
-    for c in _ERF_Q[1:-1]:
-        out += c
-        out *= t
-    out += _ERF_Q[-1]
-    p /= out
-    p *= z
+    np.minimum(t, k.z2_max, out=t)
+    np.multiply(t, k.p[0], out=p)
+    for c in k.p[1:-1]:
+        np.add(p, c, out=p)
+        np.multiply(p, t, out=p)
+    np.add(p, k.p[-1], out=p)
+    np.multiply(t, k.q[0], out=out)
+    for c in k.q[1:-1]:
+        np.add(out, c, out=out)
+        np.multiply(out, t, out=out)
+    np.add(out, k.q[-1], out=out)
+    np.divide(p, out, out=p)
+    np.multiply(p, z, out=p)
     np.tanh(p, out=out)
 
 
@@ -343,11 +371,12 @@ def _erf(x) -> np.ndarray:
     out = np.empty(x.shape, np.result_type(x, np.float32))
     xf, of = x.reshape(-1), out.reshape(-1)
     z, t, p = (np.empty(min(BLOCK, xf.size), out.dtype) for _ in range(3))
+    k = _consts(out.dtype)
     with np.errstate(over="ignore"):        # z*z of a huge z saturates
         for lo in range(0, xf.size, BLOCK):
             n = min(BLOCK, xf.size - lo)
             np.copyto(z[:n], xf[lo:lo + n])
-            _erf_block(z[:n], of[lo:lo + n], t[:n], p[:n])
+            _erf_block(z[:n], of[lo:lo + n], t[:n], p[:n], k)
     return out
 
 
@@ -365,14 +394,15 @@ def gelu(a) -> Tensor:
     out, cdf = data.reshape(-1), np.empty(x.size, data.dtype)
     t = np.empty(min(BLOCK, x.size), data.dtype)
     p = np.empty_like(t)
+    k = _consts(data.dtype)
     with np.errstate(over="ignore"):
         for lo in range(0, x.size, BLOCK):
             n = min(BLOCK, x.size - lo)
             xb, cb, ob = x[lo:lo + n], cdf[lo:lo + n], out[lo:lo + n]
-            np.multiply(xb, _INV_SQRT2, out=ob)     # x / sqrt 2, in the output's slot
-            _erf_block(ob, cb, t[:n], p[:n])
-            cb += 1.0
-            cb *= 0.5
+            np.multiply(xb, k.inv_sqrt2, out=ob)    # x / sqrt 2, in the output's slot
+            _erf_block(ob, cb, t[:n], p[:n], k)
+            np.add(cb, k.one, out=cb)
+            np.multiply(cb, k.half, out=cb)
             np.multiply(xb, cb, out=ob)
 
     def bw(g):
@@ -382,12 +412,12 @@ def gelu(a) -> Tensor:
         for lo in range(0, x.size, BLOCK):
             xb, db = x[lo:lo + BLOCK], df[lo:lo + BLOCK]
             np.multiply(xb, xb, out=db)
-            db *= -0.5
+            np.multiply(db, k.minus_half, out=db)
             np.exp(db, out=db)
-            db *= _INV_SQRT2PI                      # phi(x)
-            db *= xb
-            db += cdf[lo:lo + BLOCK]
-            db *= gf[lo:lo + BLOCK]
+            np.multiply(db, k.inv_sqrt2pi, out=db)  # phi(x)
+            np.multiply(db, xb, out=db)
+            np.add(db, cdf[lo:lo + BLOCK], out=db)
+            np.multiply(db, gf[lo:lo + BLOCK], out=db)
         a._accumulate(dx, fresh=True)
 
     return _result(data, (a,), bw)
@@ -423,11 +453,15 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 def affine(x, w, b) -> Tensor:
     """``x @ w + b`` for a 2-D weight ``w`` [c_in, c_out] and bias ``b``
-    [c_out] as one node. The forward runs the same numpy ops as the composite
-    ``matmul`` + ``add``; the backward flattens x's leading axes, so each
-    gradient is one 2-D GEMM (input, weight) or one row sum (bias)."""
+    [c_out] as one node. Both passes flatten x's leading axes, so the forward
+    is one 2-D GEMM plus an in-place bias add, and each gradient is one 2-D
+    GEMM (input, weight) or one row sum (bias). On every shape the model
+    runs, the output is bit-identical to the composite ``matmul`` + ``add``,
+    which uses numpy's batched matmul."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    data = x.data @ w.data + b.data
+    data = _rows(x.data) @ w.data
+    data = np.add(data, b.data, out=data if data.dtype == b.data.dtype else None)
+    data = data.reshape(x.data.shape[:-1] + w.data.shape[-1:])
 
     def bw(g):
         g2 = _rows(g)

@@ -129,15 +129,28 @@ class TestFusedOps:
             store)
         assert err < 1e-4
 
+    # every N-D affine shape (x, w) the TINY benchmark config and the default
+    # config run, and the test's own; the composite is numpy's batched matmul
+    AFFINE_SHAPES = [((8, 16, 96), (96, 64)),
+                     ((16, 16, 1), (1, 8)), ((16, 16, 8), (8, 1)),
+                     ((16, 16, 3), (3, 96)), ((16, 16, 96), (96, 96)),
+                     ((16, 16, 288), (288, 96)),
+                     ((64, 32, 1), (1, 8)), ((64, 32, 8), (8, 1)),
+                     ((64, 32, 3), (3, 128)), ((64, 32, 128), (128, 128)),
+                     ((64, 32, 384), (384, 384))]
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_bit_identical_to_composite(self, dtype):
         rng = np.random.default_rng(22)
         x = Tensor(rng.normal(1.0, 3.0, size=(8, 16, 96)).astype(dtype))
-        w = Tensor(trunc_normal(rng, (96, 64), dtype=dtype), requires_grad=True)
-        b = Tensor(rng.normal(size=64).astype(dtype), requires_grad=True)
         gain = Tensor(rng.normal(size=96).astype(dtype), requires_grad=True)
         shift = Tensor(rng.normal(size=96).astype(dtype), requires_grad=True)
-        pairs = [(T.affine(x, w, b), composite_affine(x, w, b))]
+        pairs = []
+        for x_shape, w_shape in self.AFFINE_SHAPES:
+            xa = Tensor(rng.normal(1.0, 3.0, size=x_shape).astype(dtype))
+            w = Tensor(trunc_normal(rng, w_shape, dtype=dtype), requires_grad=True)
+            b = Tensor(rng.normal(size=w_shape[1]).astype(dtype), requires_grad=True)
+            pairs.append((T.affine(xa, w, b), composite_affine(xa, w, b)))
         for bias in (shift, None):
             pairs.append((T.layer_norm(x, gain, bias, 1e-5),
                           composite_layer_norm(x, gain, bias, 1e-5)))
