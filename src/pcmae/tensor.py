@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# python floats stay "weak" under NEP 50 and do not promote float32 graphs
+# GELU constants, rounded to the kernel dtype by ``_Consts`` below
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
@@ -54,7 +54,9 @@ class _Consts:
 
     def __init__(self, dtype):
         def c(v):
-            return np.array(v, dtype)
+            a = np.array(v, dtype)
+            a.flags.writeable = False
+            return a
 
         self.z2_max = c(_ERF_Z2_MAX)
         self.p = tuple(map(c, _ERF_P))
@@ -63,14 +65,12 @@ class _Consts:
         self.inv_sqrt2, self.inv_sqrt2pi = c(_INV_SQRT2), c(_INV_SQRT2PI)
 
 
-_CONSTS: dict[np.dtype, _Consts] = {}
+_CONSTS = {np.dtype(t): _Consts(t) for t in (np.float32, np.float64)}
 
 
 def _consts(dtype) -> _Consts:
-    k = _CONSTS.get(dtype)
-    if k is None:
-        k = _CONSTS[dtype] = _Consts(dtype)
-    return k
+    """Built once for float32 and float64, on each call for rarer dtypes."""
+    return _CONSTS.get(dtype) or _Consts(dtype)
 
 
 def _consumed(g=None):

@@ -1,5 +1,5 @@
 """Benchmark ledger: alternating parent/change runs of ``perfbench/run.py``,
-aggregated into a ``BENCH_<workload>.json`` record.
+appended as one record to a ``BENCH_<workload>.json`` ledger.
 
 Run from the repository root, with nothing else running:
 
@@ -146,16 +146,12 @@ def dumps(obj, indent: int = 0) -> str:
 
 
 def append_record(path: Path, record: dict) -> None:
-    """Append ``record`` to the ledger at ``path``. A file that holds one
-    bare record (the layout before ledgers held several) becomes the first
-    entry of ``records``."""
+    """Append ``record`` to the ledger at ``path``."""
     book = {"workload": record["workload"], "records": []}
     if path.exists():
         book = json.loads(path.read_text())
-        if "rounds" in book:
-            book = {"workload": book["workload"], "records": [book]}
-    if book.get("workload") != record["workload"]:
-        raise SystemExit(f"error: {path} is a ledger of workload {book.get('workload')!r}")
+    if book.get("workload") != record["workload"] or "records" not in book:
+        raise SystemExit(f"error: {path} is not a ledger of workload {record['workload']}")
     book["records"].append(record)
     path.write_text(dumps(book) + "\n")
 
