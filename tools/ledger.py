@@ -62,12 +62,18 @@ def parse_run(stdout: str) -> tuple[dict | None, dict | None]:
     return result, env
 
 
+def _sig(v: float) -> float:
+    """``v`` to 10 significant digits: enough to compare losses that move
+    by parts in 1e8, short enough to read."""
+    return float(f"{v:.10g}")
+
+
 def _stats(values: list[float]) -> dict:
     if not values:
         return {"median": None, "q1": None, "q3": None, "runs": []}
     q1, med, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": round(float(med), 6), "q1": round(float(q1), 6),
-            "q3": round(float(q3), 6), "runs": [round(v, 6) for v in values]}
+    return {"median": _sig(med), "q1": _sig(q1), "q3": _sig(q3),
+            "runs": [_sig(v) for v in values]}
 
 
 def summarize(pairs: list[dict], spec: list[dict], purpose: str) -> dict:
