@@ -210,7 +210,8 @@ class TestAdamW:
         store = ParamStore()
         store.add("w", np.ones((3, 4), dtype))
         store.add("b", np.ones(5, np.float64))
-        grads = {"w": np.full((3, 4), 0.5, dtype), "b": np.full(5, 0.5)}
+        # "b" gets a float32 gradient, which is cast to its parameter's dtype
+        grads = {"w": np.full((3, 4), 0.5, dtype), "b": np.full(5, 0.5, np.float32)}
         state = adamw_step(store, grads, AdamWState(), 1e-3, TrainConfig())
         assert state.m["w"].dtype == state.v["w"].dtype == dtype
         assert state.m["b"].dtype == state.v["b"].dtype == np.float64
