@@ -344,35 +344,39 @@ def save_checkpoint(path, store: ParamStore, model_cfg: ModelConfig,
         raise
 
 
-def _read_exact(fh, count: int, path) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise CheckpointError(f"{path}: truncated checkpoint")
-    return buf
-
-
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read tensors + config block; magic/version problems and non-finite
-    tensor values raise CheckpointError ('bad magic' / 'unsupported
-    checkpoint version' / 'non-finite values in tensor <name>')."""
+    """Read tensors + config block; magic/version problems, lengths that
+    run past the end of the file and non-finite tensor values raise
+    CheckpointError ('bad magic' / 'unsupported checkpoint version' /
+    'truncated checkpoint' / 'non-finite values in tensor <name>')."""
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+
+        def read(count: int) -> bytes:
+            # a declared length is checked against the bytes left before
+            # reading, so a corrupted one never asks for a huge buffer
+            buf = fh.read(count) if count <= end - fh.tell() else b""
+            if len(buf) != count:
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            return buf
+
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad magic")
-        version = struct.unpack("<I", _read_exact(fh, 4, path))[0]
+        version = struct.unpack("<I", read(4))[0]
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        blob_len = struct.unpack("<I", _read_exact(fh, 4, path))[0]
-        config_block = json.loads(_read_exact(fh, blob_len, path).decode("utf-8"))
-        count = struct.unpack("<I", _read_exact(fh, 4, path))[0]
+        blob_len = struct.unpack("<I", read(4))[0]
+        config_block = json.loads(read(blob_len).decode("utf-8"))
+        count = struct.unpack("<I", read(4))[0]
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            name_len = struct.unpack("<I", _read_exact(fh, 4, path))[0]
-            name = _read_exact(fh, name_len, path).decode("utf-8")
-            ndim = struct.unpack("<I", _read_exact(fh, 4, path))[0]
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path))
-            size = int(np.prod(shape)) if ndim else 1
-            payload = _read_exact(fh, 4 * size, path)
+            name_len = struct.unpack("<I", read(4))[0]
+            name = read(name_len).decode("utf-8")
+            ndim = struct.unpack("<I", read(4))[0]
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+            size = math.prod(shape)
+            payload = read(4 * size)
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
             if not np.isfinite(tensors[name]).all():
                 raise CheckpointError(f"{path}: non-finite values in tensor {name!r}")

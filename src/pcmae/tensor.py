@@ -12,6 +12,11 @@ and gradients are freed while the walk goes on; a second ``backward`` that
 reaches a consumed node raises ``RuntimeError``. Only leaves (tensors without
 a closure, such as parameters) keep their ``.grad``.
 
+An op computes a buffer that only its backward reads (``reduce_max``'s
+argmax, ``log_softmax``'s softmax) only when its input requires a gradient,
+so a forward through frozen parameters, such as local-probe featurization,
+skips that work.
+
 Gradient ownership: a closure that computes a fresh array for one parent
 passes ``fresh=True`` to ``_accumulate``, and the parent keeps that array as
 its first gradient (when C-ordered). Closures that pass on their incoming
@@ -642,6 +647,8 @@ def reduce_max(a, axis=None, keepdims=False) -> Tensor:
     if axis is None or isinstance(axis, tuple):
         raise ValueError("reduce_max requires a single explicit axis")
     data = a.data.max(axis=axis, keepdims=keepdims)
+    if not a.requires_grad:
+        return Tensor(data)
     arg = np.expand_dims(np.argmax(a.data, axis=axis), axis)
 
     def bw(g):
@@ -671,6 +678,8 @@ def log_softmax(a, axis=-1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
+    if not a.requires_grad:
+        return Tensor(data)
     sm = np.exp(data)
 
     def bw(g):

@@ -115,6 +115,25 @@ def latent_tokens(p_t: Tensor, s_t: Tensor, d_t: Tensor, centers: np.ndarray,
     return TokenSequence(tokens, np.asarray(centers, dtype=np.float64))
 
 
+def _mlp_macs(rows: int, widths) -> int:
+    return rows * sum(a * b for a, b in zip(widths, widths[1:]))
+
+
+def gate_macs(cfg: ModelConfig) -> int:
+    """Exact multiply-accumulate count of the affine layers of one
+    ``gate_forward`` (layer norms, activations and pools not counted): the
+    patch and fuse MLPs run on all g*k points, the descriptor MLP and both
+    branches of the channel gate on the g patches, both branches of the
+    spatial gate on the g*k points. At the default config the fuse MLP is
+    604M of 640M."""
+    points = cfg.g * cfg.k
+    return (_mlp_macs(points, _patch_widths(cfg))
+            + _mlp_macs(cfg.g, _desc_widths(cfg))
+            + 2 * _mlp_macs(cfg.g, _ca_widths(cfg))
+            + 2 * _mlp_macs(points, _SA_WIDTHS)
+            + _mlp_macs(points, _fuse_widths(cfg)))
+
+
 def gate_forward(patches: PatchSet, descriptors: np.ndarray, store: ParamStore,
                  cfg: ModelConfig) -> TokenSequence:
     """Full tokenizer: centered patches + descriptors -> latent token sequence."""

@@ -14,6 +14,8 @@ from pcmae.config import ModelConfig, TrainConfig
 from pcmae.dataio import load_checkpoint, save_checkpoint, save_dataset, synth_shapes
 from pcmae.pipeline import init_pretrain_params
 
+from test_dataio import set_length
+
 TINY_KEYS = dict(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
                  enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
 TINY = ModelConfig(**TINY_KEYS)
@@ -241,6 +243,22 @@ class TestExitCodes:
                              capture_output=True, text=True)
         assert out.returncode == EXIT_DATA, out.stderr
         assert f"data error: {bad}: non-finite values in tensor {last!r}" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("field", ["config_blob", "name", "ndim", "payload"])
+    def test_oversized_checkpoint_length_is_data_error(self, dataset, pretrain_ckpt,
+                                                       tmp_path, field):
+        # the first tensor's first dimension at 0x7fffffff once ended in a
+        # MemoryError traceback and exit 1
+        bad = tmp_path / "long.ckpt"
+        bad.write_bytes(bytes(set_length(bytearray(pretrain_ckpt.read_bytes()), field,
+                                         0x7FFFFFFF)))
+        out = subprocess.run([sys.executable, "-m", "pcmae.cli", "extract",
+                              "--dataset", str(dataset), "--checkpoint", str(bad),
+                              "--out", str(tmp_path / "f.csv")],
+                             capture_output=True, text=True)
+        assert out.returncode == EXIT_DATA, out.stderr
+        assert f"data error: {bad}: truncated checkpoint" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_divergence_is_numeric_error(self, dataset, config_file, tmp_path,

@@ -1,4 +1,6 @@
 """File formats: xyz clouds, manifests, synthetic datasets, checkpoints."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,25 @@ class TestManifest:
             manifest_load(tmp_path, "test")
 
 
+def length_offset(blob: bytes, field: str) -> int:
+    """Byte offset of a uint32 length in a checkpoint: the config blob's,
+    or the first tensor's name length, ndim or first dimension."""
+    (blob_len,) = struct.unpack_from("<I", blob, 8)
+    name_at = 12 + blob_len + 4
+    (name_len,) = struct.unpack_from("<I", blob, name_at)
+    return {"config_blob": 8, "name": name_at, "ndim": name_at + 4 + name_len,
+            "payload": name_at + 8 + name_len}[field]
+
+
+def set_length(blob: bytearray, field: str, value) -> bytearray:
+    """``blob`` with one length set to ``value``, or with its top bit set."""
+    at = length_offset(blob, field)
+    if value == "high_bit":
+        value = struct.unpack_from("<I", blob, at)[0] | 0x80000000
+    struct.pack_into("<I", blob, at, value)
+    return blob
+
+
 class TestCheckpoint:
     def test_bitexact_roundtrip(self, tmp_path):
         store = init_pretrain_params(TINY, seed=0)
@@ -220,6 +241,19 @@ class TestCheckpoint:
         save_checkpoint(path, store, TINY, TrainConfig())
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["config_blob", "name", "ndim", "payload"])
+    @pytest.mark.parametrize("value", [0x7FFFFFFF, 0xFFFFFFFF, "high_bit"])
+    def test_oversized_length_rejected(self, tmp_path, field, value):
+        # lengths past the end of the file once made the reader allocate them
+        # (MemoryError) or overflow (OverflowError) instead of refusing them
+        store = init_pretrain_params(TINY, seed=6)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, store, TINY, TrainConfig())
+        blob = bytearray(path.read_bytes())
+        path.write_bytes(bytes(set_length(blob, field, value)))
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 

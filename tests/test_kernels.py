@@ -1,8 +1,9 @@
 """The geometry kernels against independent references: FPS on duplicate
-points, k-NN under ties against a full sort by (distance, index), SPFH
-histograms against per-pair ``pair_features`` binning, and float32 Chamfer
-terms against the double-loop oracle."""
+points, k-NN under ties and across row blocks against a full sort by
+(distance, index), SPFH histograms against per-pair ``pair_features``
+binning, and float32 Chamfer terms against the double-loop oracle."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,66 @@ class TestKnnTies:
         for k in (1, 2, 3, 4, 5, 7, 9, 13, len(points) - 1):
             want = [knn_oracle(points, q, k) for q in queries]
             assert kernels.knn_indices(points, queries, k).tolist() == want, k
+
+
+def _block_cloud(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "seeded":
+        return rng.normal(size=(n, 3))
+    if kind == "lattice":       # exact ties everywhere, also across blocks
+        return np.round(2.0 * rng.normal(size=(n, 3))) / 2.0
+    return np.repeat(rng.normal(size=((n + 2) // 3, 3)), 3, axis=0)[:n]   # duplicated
+
+
+class TestKnnBlocks:
+    """``knn_indices`` walks its queries in row blocks; block edges must not
+    show in the result, for any query count around the block size."""
+
+    @pytest.mark.parametrize("kind", ["seeded", "lattice", "duplicated"])
+    @pytest.mark.parametrize("n", [1, 3, 256, 1024, 1500])
+    def test_matches_sort_oracle_around_block_edges(self, n, kind):
+        points = _block_cloud(kind, n)
+        rows = max(1, kernels.ROWS_ELEMS // n)
+        # queries cycle through the cloud, so small clouds fill several blocks
+        order = np.arange(2 * rows + 7) % n
+        # knn_oracle(p, q, k) is the first k of knn_oracle(p, q, n): one full
+        # oracle sort per distinct query serves every k
+        full = {i: knn_oracle(points, points[i], n) for i in np.unique(order)}
+        for m in (rows - 1, rows, rows + 1, 2 * rows + 7):
+            queries = points[order[:m]]
+            for k in sorted({1, 16, n - 1, n} & set(range(1, n + 1))):
+                got = kernels.knn_indices(points, queries, k)
+                assert got.dtype == np.int64 and got.shape == (m, k)
+                want = [full[i][:k] for i in order[:m]]
+                assert got.tolist() == want, (m, k)
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        points = _block_cloud("lattice", 300)
+        queries = np.concatenate([points, points[::3] + 0.25])
+        want = {k: kernels.knn_indices(points, queries, k) for k in (1, 16, 300)}
+        for rows_elems in (1, 300 * 7, 1 << 30):
+            monkeypatch.setattr(kernels, "ROWS_ELEMS", rows_elems)
+            for k, w in want.items():
+                assert np.array_equal(kernels.knn_indices(points, queries, k), w)
+
+    def test_no_queries(self):
+        points = _block_cloud("seeded", 10)
+        assert kernels.knn_indices(points, points[:0], 4).shape == (0, 4)
+
+    def test_self_query_memory_is_one_block(self):
+        # two distance tiles and the partition's index tile, the output, and
+        # a margin; a whole 1024 x 1024 float64 matrix alone is 8 MiB
+        points = _block_cloud("seeded", 1024)
+        kernels.knn_indices(points, points, 16)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = kernels.knn_indices(points, points, 16)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        tile = max(1, kernels.ROWS_ELEMS // 1024) * 1024 * 8
+        assert peak < 3 * tile + out.nbytes + (512 << 10), peak
 
 
 def spfh_pair_oracle(points, normals, centers, neighbors, bins, variant):

@@ -86,3 +86,42 @@ def test_append_record(tmp_path):
     path.write_text(json.dumps(first))       # a bare record is not a ledger
     with pytest.raises(SystemExit):
         ledger.append_record(path, second)
+
+
+PER_LAYER = [{"name": "kernels.knn.ms", "unit": "ms", "better": "lower"},
+             {"name": "tokenizer.gate.share", "unit": "ratio", "better": "lower"}]
+
+
+def traced_stdout(knn_ms, gate_share):
+    result = {"correct": True, "attempted": 12, "failed": 0,
+              "metrics": {"kernels.knn.ms": {"value": knn_ms, "unit": "ms"},
+                          "tokenizer.gate.share": {"value": gate_share, "unit": "ratio"}}}
+    return "\n".join(["workload pretrain-paper, seed 1, traced",
+                      "env " + json.dumps(ENV),
+                      "3 main operation(s) per pass; spans in trace-x.json",
+                      f"  kernels.knn.ms {knn_ms} ms",
+                      json.dumps(result)]) + "\n"
+
+
+def test_traced_pairs_summarise_per_layer_metrics_without_a_bound():
+    pairs = [
+        {"seed": 1, "first": "parent", "parent": side(traced_stdout(12.0, 0.20)),
+         "change": side(traced_stdout(8.0, 0.22))},
+        {"seed": 2, "first": "change", "parent": side(traced_stdout(14.0, 0.20)),
+         "change": side(traced_stdout(7.0, 0.18))},
+    ]
+    r = ledger.summarize(pairs, PER_LAYER, "traced")
+    knn = r["metrics"]["kernels.knn.ms"]
+    assert knn["bound"] is None and knn["unit"] == "ms"
+    assert knn["parent"]["median"] == 13.0 and knn["change"]["median"] == 7.5
+    assert knn["change_better_pairs"] == 2
+    assert knn["median_change"] == pytest.approx(7.5 / 13.0 - 1.0, abs=1e-4)
+    gate = r["metrics"]["tokenizer.gate.share"]
+    assert gate["change_better_pairs"] == 1 and gate["tied_pairs"] == 0
+    assert r["failed_ops"] == 0 and r["exit_codes"]["change"] == [0, 0]
+
+
+def test_perfbench_args_pass_the_trace_flag():
+    assert ledger.perfbench_args("pretrain-paper", 7, 25.0, 1) == [
+        "perfbench/run.py", "--workload", "pretrain-paper", "--seed", "7",
+        "--seconds", "25", "--trace", "1"]

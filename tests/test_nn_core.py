@@ -264,6 +264,71 @@ class TestPooling:
             pooled_stats(Tensor(np.zeros((2, 0))), 1, "max")
 
 
+class TestFrozenInputs:
+    """``reduce_max`` and ``log_softmax`` skip their backward-only buffers
+    (argmax, softmax) when no input requires a gradient: same output bytes
+    as the trainable path, and no graph node."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(6, 5, 7)).astype(np.float32)
+        x[:, 2] = x[:, 4]                      # ties along axis 1
+        return x
+
+    @pytest.mark.parametrize("op", [
+        lambda t: T.reduce_max(t, 1),
+        lambda t: T.reduce_max(t, 2, keepdims=True),
+        lambda t: T.log_softmax(t, axis=-1),
+        lambda t: T.log_softmax(t, axis=1),
+    ])
+    def test_frozen_output_equals_trainable_and_records_nothing(self, op):
+        x = self._inputs()
+        frozen = op(Tensor(x))
+        trained = op(Tensor(x.copy(), requires_grad=True))
+        assert frozen.data.dtype == trained.data.dtype
+        assert frozen.data.tobytes() == trained.data.tobytes()
+        assert not frozen.requires_grad
+        assert frozen._backward is None and frozen._parents == ()
+
+    @pytest.mark.parametrize("name, op, frozen_calls, trainable_calls", [
+        ("argmax", lambda t: T.reduce_max(t, 1), 0, 1),
+        ("exp", lambda t: T.log_softmax(t, axis=-1), 1, 2),     # lse; softmax
+    ])
+    def test_frozen_path_skips_backward_only_work(self, monkeypatch, name, op,
+                                                  frozen_calls, trainable_calls):
+        x, real, calls = self._inputs(), getattr(np, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+        op(Tensor(x))
+        assert len(calls) == frozen_calls
+        calls.clear()
+        op(Tensor(x, requires_grad=True))
+        assert len(calls) == trainable_calls
+
+    def test_trainable_max_gradient_is_one_hot_at_first_argmax(self):
+        x = self._inputs()
+        t = Tensor(x, requires_grad=True)
+        g = np.random.default_rng(13).normal(size=(6, 7)).astype(np.float32)
+        (T.reduce_max(t, 1) * Tensor(g)).sum().backward()
+        want = np.zeros_like(x)
+        np.put_along_axis(want, np.argmax(x, axis=1)[:, None], g[:, None], 1)
+        assert t.grad.tobytes() == want.tobytes()
+
+    def test_trainable_log_softmax_gradient(self):
+        x = self._inputs()
+        t = Tensor(x, requires_grad=True)
+        g = np.random.default_rng(14).normal(size=x.shape).astype(np.float32)
+        out = T.log_softmax(t, axis=-1)
+        (out * Tensor(g)).sum().backward()
+        want = g - np.exp(out.data) * g.sum(axis=-1, keepdims=True)
+        assert t.grad.tobytes() == want.tobytes()
+
+
 class TestFiniteDifferenceHarness:
     def test_quadratic_is_nearly_exact(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -1,6 +1,7 @@
 """Masked-autoencoder pipeline: masking, reconstruction head, Chamfer loss
 against a double-loop oracle, the full pretraining pass, its autodiff memory,
 feature extraction."""
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from pcmae.pipeline import (chamfer_l2, chamfer_l2_t, extract_global_feature,
 from pcmae.selfcheck import chamfer_oracle, randomize_params
 from pcmae import tensor as T
 from pcmae.tensor import ParamStore, Tensor
+from pcmae.training import _features_matrix, copy_store
 
 TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
                    enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
@@ -350,3 +352,44 @@ class TestReconstructionDump:
         want = (cloud.points, vis.reshape(-1, 3), pred.reshape(-1, 3))
         for x, y in zip(got, want):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """Frozen-backbone features and the gradients of one forward + backward,
+    pinned by SHA-256. The row-blocked kNN and the frozen-path shortcuts
+    (``reduce_max`` without its argmax, ``log_softmax`` without its softmax)
+    change speed only, so they keep these bytes."""
+
+    FEATURES = {
+        "tiny": "82e1fd8b36c35f6c94fe15f71be321e263113083cbef20c147f6f1679dc70192",
+        "default": "91db4854f16957ac6e1195a4dfb4100bf1f8ba74411a57f533bf925e35bc859c",
+    }
+    GRADIENTS = {
+        "tiny": "32ba1e73e5ea3d46becc2efeebde920ac2004f40c85f4e47736e4fa60e13768b",
+        "default": "65b6577430c5211e15db8d53d88dfb769e19b10dbbd308ce40a8c8cc9e71760a",
+    }
+
+    @pytest.mark.parametrize("name", ["tiny", "default"])
+    def test_features_and_gradients(self, name):
+        cfg = TINY if name == "tiny" else ModelConfig()
+        store = init_pretrain_params(cfg, seed=0)
+        items, _ = synth_shapes(["torus", "cube"], per_class=1, n_points=cfg.n, seed=5)
+        frozen = copy_store(store)
+        for n in frozen.names():
+            frozen.set_trainable(n, False)
+        feats = _features_matrix(items, cfg, frozen, None)
+        assert feats.dtype == np.float32 and feats.shape == (2, cfg.feature_dim)
+        assert _sha256([feats]) == self.FEATURES[name]
+        # the trainable path computes the same features
+        assert _features_matrix(items, cfg, store, None).tobytes() == feats.tobytes()
+        pretrain_forward(items[1][0], cfg, store, seed=4).loss.backward()
+        grads = [t.grad for _, t in store.items()]
+        assert all(g is not None for g in grads)
+        assert _sha256(grads) == self.GRADIENTS[name]

@@ -7,8 +7,9 @@ from pcmae.gradcheck import check_param_gradients
 from pcmae.geometry import PatchSet, PointCloud, build_patches, estimate_normals, spfh_batch
 from pcmae.selfcheck import randomize_params
 from pcmae.tensor import ParamStore, Tensor
+from pcmae import tensor as T
 from pcmae.tokenizer import (adaptive_saliency, embed_descriptor, embed_patch_points,
-                             gate_forward, init_gate, latent_tokens)
+                             gate_forward, gate_macs, init_gate, latent_tokens)
 
 TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
                    enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
@@ -165,3 +166,30 @@ class TestGateForward:
             lambda: gate_forward(patches, descs, store, TINY).tokens.mean(),
             store, max_coords=300, rng=26, min_grad=1e-7)
         assert err < 1e-4
+
+
+class TestGateMacs:
+    def test_default_config_hand_count(self):
+        # g*k = 2048 points; widths from the default config
+        fuse = 2048 * (384 * 384 + 384 * 384)              # 603,979,776
+        patch = 2048 * (3 * 128 + 128 * 128)               # 34,340,864
+        desc = 64 * (33 * 128 + 128 * 128)                 # descriptors, per patch
+        channel = 2 * 64 * (128 * 16 + 16 * 128)           # avg and max branches
+        spatial = 2 * 2048 * (1 * 8 + 8 * 1)
+        assert gate_macs(ModelConfig()) == fuse + patch + desc + channel + spatial
+        assert gate_macs(ModelConfig()) == 640_229_376
+        assert 603e6 < fuse < 605e6 and 34e6 < patch < 35e6
+
+    def test_matches_the_affine_work_of_one_forward(self, monkeypatch):
+        patches, descs = _patched_cloud(27)
+        store = randomized_store(28)
+        real, macs = T.affine, []
+
+        def counted(x, w, b):
+            out = real(x, w, b)
+            macs.append(out.data.size * w.shape[0])         # rows * c_in * c_out
+            return out
+
+        monkeypatch.setattr(T, "affine", counted)
+        gate_forward(patches, descs, store, TINY)
+        assert sum(macs) == gate_macs(TINY)

@@ -17,7 +17,8 @@ missing, and its exit code and last standard-error line are recorded.
 The record holds per-run values, the median and quartiles per end-to-end
 metric of ``BENCHMARK.json``, the pairs in which the change was better, the
 seeds, the summed ``failed`` count, exit codes and the environment
-fingerprint. ``--out`` appends it to the file's ``records`` list, creating
+fingerprint. ``--trace 1`` runs traced pairs instead and summarises the
+``per_layer`` metrics the same way (they have no bound). ``--out`` appends it to the file's ``records`` list, creating
 the file if needed.
 """
 from __future__ import annotations
@@ -79,7 +80,8 @@ def _stats(values: list[float]) -> dict:
 def summarize(pairs: list[dict], spec: list[dict], purpose: str) -> dict:
     """One round from ``pairs``: dicts with ``seed``, ``first`` ("parent" or
     "change"), and per side a ``result`` (or None) and an ``exit`` code.
-    ``spec`` is ``BENCHMARK.json``'s ``end_to_end`` list."""
+    ``spec`` is ``BENCHMARK.json``'s ``end_to_end`` or ``per_layer`` list;
+    a metric without a bound gets ``"bound": null``."""
     sides = ("parent", "change")
     round_ = {
         "purpose": purpose,
@@ -103,7 +105,7 @@ def summarize(pairs: list[dict], spec: list[dict], purpose: str) -> dict:
                 if a is not None and b is not None]
         sign = 1.0 if m["better"] == "higher" else -1.0
         parent, change = (_stats([v for v in values[s] if v is not None]) for s in sides)
-        entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+        entry = {"unit": m["unit"], "better": m["better"], "bound": m.get("bound"),
                  "parent": parent, "change": change,
                  "change_better_pairs": sum(sign * (b - a) > 0 for a, b in both),
                  "tied_pairs": sum(a == b for a, b in both),
@@ -114,9 +116,13 @@ def summarize(pairs: list[dict], spec: list[dict], purpose: str) -> dict:
     return round_
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def perfbench_args(workload: str, seed, seconds: float, trace: int) -> list[str]:
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", str(trace)]
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable] + perfbench_args(workload, seed, seconds, trace)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     result, env = parse_run(proc.stdout)
     if proc.returncode != 0:
@@ -169,11 +175,14 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help='e.g. "2101-2110" or "1,5,9"')
     ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                    help="1: traced runs, summarised over the per_layer metrics")
     ap.add_argument("--out", type=Path, required=True, help="ledger file to append to")
     ap.add_argument("--purpose", default="alternating parent/change pairs")
     ap.add_argument("--note", action="append", default=[])
     args = ap.parse_args(argv)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())[
+        "per_layer" if args.trace else "end_to_end"]
     seeds = parse_seeds(args.seeds)
     with tempfile.TemporaryDirectory(prefix="ledger-") as tmp:
         trees = {s: Path(tmp) / s for s in ("parent", "change")}
@@ -183,14 +192,15 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
+                pair[side] = run_once(trees[side], args.workload, seed, args.seconds,
+                                      args.trace)
                 env = env or pair[side]["env"]
                 print(f"seed {seed} {side}: exit {pair[side]['exit']}", file=sys.stderr)
             pairs.append(pair)
     record = {
         "workload": args.workload,
-        "command": f"python3 perfbench/run.py --workload {args.workload} --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": " ".join(["python3"] + perfbench_args(args.workload, "<seed>",
+                                                          args.seconds, args.trace)),
         "parent": shas["parent"],
         "change": shas["change"],
         "how": "tools/ledger.py: alternating parent/change pairs, one fresh process per "
