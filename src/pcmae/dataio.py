@@ -346,9 +346,10 @@ def save_checkpoint(path, store: ParamStore, model_cfg: ModelConfig,
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read tensors + config block; magic/version problems, lengths that
-    run past the end of the file and non-finite tensor values raise
-    CheckpointError ('bad magic' / 'unsupported checkpoint version' /
-    'truncated checkpoint' / 'non-finite values in tensor <name>')."""
+    run past the end of the file, a config block that does not decode and
+    non-finite tensor values raise CheckpointError ('bad magic' /
+    'unsupported checkpoint version' / 'truncated checkpoint' / 'corrupt
+    config block' / 'non-finite values in tensor <name>')."""
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
 
@@ -367,7 +368,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         blob_len = struct.unpack("<I", read(4))[0]
-        config_block = json.loads(read(blob_len).decode("utf-8"))
+        blob = read(blob_len)
+        try:
+            config_block = json.loads(blob.decode("utf-8"))
+        except (ValueError, RecursionError):     # bad UTF-8 or JSON, or nested too deep
+            raise CheckpointError(f"{path}: corrupt config block") from None
         count = struct.unpack("<I", read(4))[0]
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):

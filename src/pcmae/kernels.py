@@ -59,17 +59,16 @@ def knn_indices(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     m, n = len(queries), len(points)
     p_cols = [np.ascontiguousarray(points[:, c]) for c in range(3)]
-    q_cols = [np.ascontiguousarray(queries[:, c, None]) for c in range(3)]
     rows = max(1, min(m, ROWS_ELEMS // max(n, 1)))
     d, t = np.empty((rows, n)), np.empty((rows, n))
-    out = np.empty((m, len(range(n)[:k])), dtype=np.int64)
+    out = np.empty((m, len(range(n)[:k])), dtype=np.int64)    # as wide as [:, :k]
     for lo in range(0, m, rows):
         r = min(rows, m - lo)
-        db, tb = d[:r], t[:r]
+        db, tb, qb = d[:r], t[:r], queries[lo:lo + r]
         # dx*dx + dy*dy + dz*dz, summed in that order, one coordinate at a time
         for c in range(3):
             dc = db if c == 0 else tb
-            np.subtract(q_cols[c][lo:lo + r], p_cols[c], out=dc)
+            np.subtract(qb[:, c, None], p_cols[c], out=dc)
             np.multiply(dc, dc, out=dc)
             if c:
                 np.add(db, dc, out=db)

@@ -14,7 +14,7 @@ from pcmae.config import ModelConfig, TrainConfig
 from pcmae.dataio import load_checkpoint, save_checkpoint, save_dataset, synth_shapes
 from pcmae.pipeline import init_pretrain_params
 
-from test_dataio import set_length
+from test_dataio import set_length, with_config_block
 
 TINY_KEYS = dict(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
                  enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
@@ -259,6 +259,20 @@ class TestExitCodes:
                              capture_output=True, text=True)
         assert out.returncode == EXIT_DATA, out.stderr
         assert f"data error: {bad}: truncated checkpoint" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_deeply_nested_config_block_is_data_error(self, dataset, pretrain_ckpt,
+                                                      tmp_path):
+        # json.loads raises RecursionError here, which once escaped as exit 1
+        bad = tmp_path / "deep.ckpt"
+        bad.write_bytes(with_config_block(pretrain_ckpt.read_bytes(),
+                                          b"[" * 100000 + b"]" * 100000))
+        out = subprocess.run([sys.executable, "-m", "pcmae.cli", "extract",
+                              "--dataset", str(dataset), "--checkpoint", str(bad),
+                              "--out", str(tmp_path / "f.csv")],
+                             capture_output=True, text=True)
+        assert out.returncode == EXIT_DATA, out.stderr
+        assert f"data error: {bad}: corrupt config block" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_divergence_is_numeric_error(self, dataset, config_file, tmp_path,

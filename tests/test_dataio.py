@@ -197,6 +197,12 @@ def set_length(blob: bytearray, field: str, value) -> bytearray:
     return blob
 
 
+def with_config_block(raw: bytes, blob: bytes) -> bytes:
+    """A checkpoint's bytes with its config block replaced by ``blob``."""
+    (blob_len,) = struct.unpack_from("<I", raw, 8)
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len:]
+
+
 class TestCheckpoint:
     def test_bitexact_roundtrip(self, tmp_path):
         store = init_pretrain_params(TINY, seed=0)
@@ -255,6 +261,15 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         path.write_bytes(bytes(set_length(blob, field, value)))
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", [b"[" * 100000 + b"]" * 100000, b"\xff\xfe{}", b"{"],
+                             ids=["nested_too_deep", "not_utf8", "not_json"])
+    def test_corrupt_config_block_rejected(self, tmp_path, blob):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_pretrain_params(TINY, seed=7), TINY, TrainConfig())
+        path.write_bytes(with_config_block(path.read_bytes(), blob))
+        with pytest.raises(CheckpointError, match="corrupt config block"):
             load_checkpoint(path)
 
     def test_config_mismatch_rejected(self, tmp_path):

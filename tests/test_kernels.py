@@ -92,6 +92,18 @@ class TestKnnBlocks:
                 want = [full[i][:k] for i in order[:m]]
                 assert got.tolist() == want, (m, k)
 
+    def test_distances_sum_x_y_z_in_that_order(self):
+        # cyclic permutations of one point have the same three squares, so
+        # only the rounding of dx*dx + dy*dy + dz*dz, summed in that order,
+        # tells them apart; any other order ranks some of them differently
+        base = np.random.default_rng(5).normal(size=(200, 3))
+        points = np.concatenate([base, base[:, [1, 2, 0]], base[:, [2, 0, 1]]])
+        rows = max(1, kernels.ROWS_ELEMS // len(points))
+        origin = np.zeros((rows + 5, 3))
+        got = kernels.knn_indices(points, origin, len(points))
+        want = knn_oracle(points, origin[0], len(points))
+        assert all(row == want for row in got.tolist())
+
     def test_block_size_does_not_change_the_result(self, monkeypatch):
         points = _block_cloud("lattice", 300)
         queries = np.concatenate([points, points[::3] + 0.25])
