@@ -18,8 +18,8 @@ The record holds per-run values, the median and quartiles per end-to-end
 metric of ``BENCHMARK.json``, the pairs in which the change was better, the
 seeds, the summed ``failed`` count, exit codes and the environment
 fingerprint. ``--trace 1`` runs traced pairs instead and summarises the
-``per_layer`` metrics the same way (they have no bound). ``--out`` appends it to the file's ``records`` list, creating
-the file if needed.
+``per_layer`` metrics the same way (they have no bound). ``--out`` appends
+the record to the file's ``records`` list, creating the file if needed.
 """
 from __future__ import annotations
 
