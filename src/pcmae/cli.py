@@ -135,8 +135,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="out_reconstruct")
 
-    p = sub.add_parser("selfcheck", help="run the oracle/gradient invariant suite")
-    _add_config_args(p)
+    sub.add_parser("selfcheck", help="run the oracle/gradient invariant suite")
 
     return parser
 

@@ -8,7 +8,7 @@ search is intentional at desk scale (<= ~1e4 points).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +62,6 @@ class PairFeature:
     phi: float
     theta: float
     degenerate: bool = False
-
-
-@dataclass
-class SpfhDescriptor:
-    """Concatenated 11-bin histograms of (alpha, phi, theta), each summing to 1."""
-
-    histogram: np.ndarray = field(default_factory=lambda: np.zeros(3 * HIST_BINS))
 
 
 def normalize_cloud(cloud: PointCloud) -> PointCloud:
@@ -219,23 +212,14 @@ def pair_features(p_q, n_q, p_i, n_i, variant: str = "standard") -> PairFeature:
     return PairFeature(float(np.clip(alpha, -1.0, 1.0)), phi, theta)
 
 
-def spfh_descriptor(cloud: PointCloud, center_index: int, neighbor_indices,
-                    bins: int = HIST_BINS, variant: str = "standard") -> SpfhDescriptor:
-    """SPFH histogram of one center against its neighbours.
+def spfh_batch(cloud: PointCloud, center_indices, neighbor_indices,
+               bins: int = HIST_BINS, variant: str = "standard") -> np.ndarray:
+    """SPFH histograms for every patch center; returns [g, 3*bins].
 
     Pair angles are binned over fixed ranges (alpha, phi in [-1,1], theta in
     [-pi,pi]); each sub-histogram is normalized to sum 1. Neighbours that
     coincide with the center are skipped.
     """
-    hists = spfh_batch(cloud, np.asarray([center_index]),
-                       np.asarray(neighbor_indices).reshape(1, -1),
-                       bins=bins, variant=variant)
-    return SpfhDescriptor(hists[0])
-
-
-def spfh_batch(cloud: PointCloud, center_indices, neighbor_indices,
-               bins: int = HIST_BINS, variant: str = "standard") -> np.ndarray:
-    """SPFH histograms for every patch center; returns [g, 3*bins]."""
     if cloud.normals is None:
         raise ValueError("cloud has no normals")
     if variant not in ("standard", "paper-literal"):

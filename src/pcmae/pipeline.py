@@ -135,7 +135,7 @@ def chamfer_l2_t(pred: Tensor, gt: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def prepare_cloud(cloud: PointCloud, cfg: ModelConfig) -> PointCloud:
-    """Attach cached PCA normals if the cloud does not carry any."""
+    """Estimate PCA normals, on every call, if the cloud does not carry any."""
     if cloud.normals is None:
         return estimate_normals(cloud, cfg.k_n)
     return cloud

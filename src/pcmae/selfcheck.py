@@ -9,6 +9,8 @@ optimized kernels they validate.
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +24,8 @@ from .geometry import (PointCloud, build_patches, estimate_normals,
                        farthest_point_sample, knn, pair_features, spfh_batch)
 from .layers import init_layer_norm, init_mlp, layer_norm, mlp_apply, pooled_stats
 from .pipeline import (chamfer_l2, chamfer_l2_t, init_pretrain_params,
-                       pretrain_forward, random_mask, reconstruction_head)
+                       init_reconstruction_head, pretrain_forward, random_mask,
+                       reconstruction_head)
 from .tensor import ParamStore, Tensor
 from .tokenizer import adaptive_saliency, gate_forward, init_gate
 
@@ -83,9 +86,9 @@ def chamfer_oracle(a: np.ndarray, b: np.ndarray) -> float:
 
 # --- individual checks ------------------------------------------------------
 
-def check_fps_oracle(trials=100):
+def check_fps_oracle():
     rng = np.random.default_rng(0)
-    for _ in range(trials):
+    for _ in range(500):
         n = int(rng.integers(2, 9))
         g = int(rng.integers(1, n + 1))
         pts = rng.normal(size=(n, 3))
@@ -95,13 +98,13 @@ def check_fps_oracle(trials=100):
         want = fps_oracle(pts, g, first)
         if list(got) != want:
             return False, f"mismatch on n={n} g={g}: {list(got)} vs {want}"
-    return True, f"{trials} clouds"
+    return True, "500 clouds"
 
 
-def check_knn_oracle(trials=50):
+def check_knn_oracle():
     rng = np.random.default_rng(1)
-    for _ in range(trials):
-        n = int(rng.integers(2, 65))
+    for _ in range(100):
+        n = int(rng.integers(1, 65))
         k = int(rng.integers(1, n + 1))
         pts = rng.normal(size=(n, 3))
         query = rng.normal(size=3)
@@ -109,23 +112,25 @@ def check_knn_oracle(trials=50):
         want = knn_oracle(pts, query, k)
         if got != want:
             return False, f"mismatch at n={n} k={k}"
-    return True, f"{trials} queries"
+    return True, "100 queries, n from 1 to 64"
 
 
-def check_chamfer_oracle(trials=50):
+def check_chamfer_oracle():
     rng = np.random.default_rng(2)
-    for _ in range(trials):
+    worst = 0.0
+    for _ in range(200):
         a = rng.normal(size=(10, 3))
         b = rng.normal(size=(10, 3))
         got = chamfer_l2(a, b)
         want = chamfer_oracle(a, b)
-        if abs(got - want) > 1e-6:
+        worst = max(worst, abs(got - want))
+        if worst >= 1e-6:
             return False, f"{got} vs {want}"
         if abs(chamfer_l2(a, b) - chamfer_l2(b, a)) > 0.0:
             return False, "asymmetric"
         if chamfer_l2(a, a) != 0.0:
             return False, "nonzero self distance"
-    return True, f"{trials} pairs"
+    return True, f"200 pairs, dev {worst:.1e}, symmetric, self-distance 0"
 
 
 def check_pair_feature_hand_cases():
@@ -138,9 +143,9 @@ def check_pair_feature_hand_cases():
     return True, "two hand-computed cases"
 
 
-def check_pair_feature_rotation(trials=20):
+def check_pair_feature_rotation():
     rng = np.random.default_rng(3)
-    for _ in range(trials):
+    for _ in range(20):
         p_q = rng.normal(size=3)
         p_i = rng.normal(size=3)
         n_q = rng.normal(size=3)
@@ -153,21 +158,23 @@ def check_pair_feature_rotation(trials=20):
         if max(abs(base.alpha - feat.alpha), abs(base.phi - feat.phi),
                abs(base.theta - feat.theta)) > 1e-6:
             return False, "rotation changed the triple"
-    return True, f"{trials} rotations"
+    return True, "20 rotations"
 
 
-def check_descriptor_rotation(trials=20):
+def check_descriptor_rotation():
     rng = np.random.default_rng(4)
-    cloud = estimate_normals(_random_cloud(rng, 64), 8)
-    patches = build_patches(cloud, 4, 8, first_index=0)
+    cloud = estimate_normals(_random_cloud(rng, 96), 8)
+    patches = build_patches(cloud, 6, 12, first_index=0)
     base = spfh_batch(cloud, patches.center_indices, patches.neighbor_indices)
-    for _ in range(trials):
+    worst = 0.0
+    for _ in range(100):
         rot = random_rotation(rng)
         rotated = PointCloud(cloud.points @ rot.T, cloud.normals @ rot.T)
         feat = spfh_batch(rotated, patches.center_indices, patches.neighbor_indices)
-        if np.abs(base - feat).max() > 1e-5:
-            return False, f"max dev {np.abs(base - feat).max():.2e}"
-    return True, f"{trials} rotations"
+        worst = max(worst, float(np.abs(base - feat).max()))
+        if worst >= 1e-5:
+            return False, f"max dev {worst:.2e}"
+    return True, f"100 rotations of 6x12 patches, max dev {worst:.1e}"
 
 
 def check_descriptor_histograms():
@@ -179,7 +186,7 @@ def check_descriptor_histograms():
         return False, "negative bin"
     for block in range(3):
         sums = hists[:, block * 11:(block + 1) * 11].sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-6:
+        if np.abs(sums - 1.0).max() >= 1e-6:
             return False, f"sub-histogram sums off by {np.abs(sums-1).max():.2e}"
     perm = rng.permutation(16)
     permuted = spfh_batch(cloud, patches.center_indices, patches.neighbor_indices[:, perm])
@@ -188,11 +195,11 @@ def check_descriptor_histograms():
     return True, "sums, signs, permutation"
 
 
-def check_literal_alpha_degeneracy(pairs=1000):
+def check_literal_alpha_degeneracy():
     rng = np.random.default_rng(6)
     alphas_lit = []
     alphas_std = []
-    for _ in range(pairs):
+    for _ in range(1000):
         p_q, p_i = rng.normal(size=3), rng.normal(size=3)
         n_q = rng.normal(size=3); n_q /= np.linalg.norm(n_q)
         n_i = rng.normal(size=3); n_i /= np.linalg.norm(n_i)
@@ -200,9 +207,9 @@ def check_literal_alpha_degeneracy(pairs=1000):
         alphas_std.append(pair_features(p_q, n_q, p_i, n_i, variant="standard").alpha)
     if max(abs(a) for a in alphas_lit) > 1e-12:
         return False, "literal alpha is not identically zero"
-    if np.std(alphas_std) < 1e-3:
+    if np.std(alphas_std) <= 1e-3:
         return False, "standard alpha looks constant"
-    return True, f"{pairs} pairs: literal alpha == 0, standard varies"
+    return True, f"1000 pairs: literal alpha == 0, standard alpha std {np.std(alphas_std):.3f}"
 
 
 def _gradient_checks() -> list[tuple[str, float]]:
@@ -254,11 +261,10 @@ def _gradient_checks() -> list[tuple[str, float]]:
         min_grad=1e-8)))
 
     store = ParamStore()
-    from .pipeline import init_reconstruction_head
-
     init_reconstruction_head(store, TINY, rng, np.float64)
+    randomize_params(store, 11)
     td = rng.normal(size=(3, TINY.d))
-    gt = rng.normal(0.0, 0.3, size=(3, TINY.k, 3))
+    gt = rng.normal(0.0, 0.4, size=(3, TINY.k, 3))
     results.append(("reconstruction_head", check_param_gradients(
         lambda: chamfer_l2_t(reconstruction_head(Tensor(td), TINY.k, store), gt), store)))
 
@@ -282,14 +288,14 @@ def check_pretrain_gradient():
     randomize_params(store, 12)
     err = check_param_gradients(
         lambda: pretrain_forward(cloud, TINY, store, seed=11).loss,
-        store, max_coords=250, rng=13, min_grad=1e-6)
-    return err < 1e-4, f"max rel err {err:.2e} (250 sampled coords)"
+        store, max_coords=300, rng=13, min_grad=1e-6)
+    return err < 1e-4, f"max rel err {err:.2e} (300 sampled coords)"
 
 
 def check_mask_cardinality():
     combos = 0
-    for g in (4, 16, 64, 256):
-        for r in (0.1, 0.25, 0.5, 0.6, 0.75, 0.9):
+    for g in range(4, 257, 12):
+        for r in (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9):
             want = int(r * g)
             if want < 1 or g - want < 1:
                 continue    # outside the op's precondition
@@ -305,37 +311,42 @@ def check_mask_cardinality():
 
 def check_ea_row_sums():
     rng = np.random.default_rng(14)
-    cfgb = BlockConfig(d=12, heads=3, mlp_ratio=2, depth=1, s_mem=5)
-    store = ParamStore()
-    init_block(store, "b", cfgb, "external", rng, np.float64)
-    randomize_params(store, 15)
-    for m in (1, 2, 7):
-        x = Tensor(rng.normal(size=(m, 12)))
-        q = T.matmul(x, store["b.attn.q.w"])
-        q = q.reshape((m, 3, 4)).transpose((1, 0, 2))
-        raw = T.matmul(q, store["b.attn.mk"].transpose((0, 2, 1)))
-        attn = T.softmax(raw, axis=1)
-        attn = attn / attn.sum(axis=2, keepdims=True)
-        sums = attn.data.sum(axis=2)
-        if np.abs(sums - 1.0).max() > 1e-6:
-            return False, f"m={m}: row sums off by {np.abs(sums-1).max():.2e}"
-    return True, "token rows sum to 1 for m in {1,2,7}"
+    # a 3-head block at d=12, and the shape of TINY's encoder blocks
+    for cfgb in (BlockConfig(d=12, heads=3, mlp_ratio=2, depth=1, s_mem=5),
+                 TINY.encoder_blocks()):
+        store = ParamStore()
+        init_block(store, "b", cfgb, "external", rng, np.float64)
+        randomize_params(store, 15)
+        for m in (1, 2, 7):
+            x = Tensor(rng.normal(size=(m, cfgb.d)))
+            q = T.matmul(x, store["b.attn.q.w"])
+            q = q.reshape((m, cfgb.heads, cfgb.d_head)).transpose((1, 0, 2))
+            raw = T.matmul(q, store["b.attn.mk"].transpose((0, 2, 1)))
+            attn = T.softmax(raw, axis=1)
+            attn = attn / attn.sum(axis=2, keepdims=True)
+            sums = attn.data.sum(axis=2)
+            if np.abs(sums - 1.0).max() >= 1e-6:
+                return False, (f"d={cfgb.d} m={m}: row sums off by "
+                               f"{np.abs(sums-1).max():.2e}")
+    return True, "token rows sum to 1 for d/heads in {12/3, 24/2}, m in {1,2,7}"
 
 
 def check_saliency_range():
     rng = np.random.default_rng(16)
-    store = ParamStore()
-    init_gate(store, TINY, rng, np.float64)
-    randomize_params(store, 17, scale=0.5)
-    x = Tensor(rng.normal(0.0, 5.0, size=(TINY.g, TINY.k, TINY.c_p)))
-    weights, _ = adaptive_saliency(x, store, TINY)
-    for arr in (weights.channel.data, weights.spatial.data):
-        if not ((arr > 0.0).all() and (arr < 1.0).all()):
-            return False, "gate left the open interval (0,1)"
-    return True, "all gates in (0,1)"
+    for x_scale, p_scale in ((5.0, 0.5), (4.0, 0.15)):
+        store = ParamStore()
+        init_gate(store, TINY, rng, np.float64)
+        randomize_params(store, 17, scale=p_scale)
+        x = Tensor(rng.normal(0.0, x_scale, size=(TINY.g, TINY.k, TINY.c_p)))
+        weights, _ = adaptive_saliency(x, store, TINY)
+        for arr in (weights.channel.data, weights.spatial.data):
+            if not ((arr > 0.0).all() and (arr < 1.0).all()):
+                return False, (f"input scale {x_scale}, params {p_scale}: "
+                               "gate left the open interval (0,1)")
+    return True, "all gates in (0,1) at input scales 5 and 4"
 
 
-def check_encoder_permutation(trials=5):
+def check_encoder_permutation():
     rng = np.random.default_rng(18)
     store = init_pretrain_params(TINY, seed=3, dtype=np.float64)
     randomize_params(store, 19)
@@ -343,15 +354,17 @@ def check_encoder_permutation(trials=5):
     tokens = rng.normal(size=(m, TINY.d))
     centers = rng.normal(size=(m, 3))
     base = encoder_forward(Tensor(tokens), centers, store, TINY).data
-    for _ in range(trials):
+    worst = 0.0
+    for _ in range(20):
         perm = rng.permutation(m)
         out = encoder_forward(Tensor(tokens[perm]), centers[perm], store, TINY).data
-        if np.abs(out - base[perm]).max() > 1e-5:
-            return False, f"deviation {np.abs(out - base[perm]).max():.2e}"
-    return True, f"{trials} permutations"
+        worst = max(worst, float(np.abs(out - base[perm]).max()))
+        if worst >= 1e-5:
+            return False, f"deviation {worst:.2e}"
+    return True, f"20 permutations, max dev {worst:.1e}"
 
 
-def check_gate_point_permutation(trials=5):
+def check_gate_point_permutation():
     rng = np.random.default_rng(20)
     cloud = estimate_normals(_random_cloud(rng, TINY.n), TINY.k_n)
     patches = build_patches(cloud, TINY.g, TINY.k, first_index=0)
@@ -359,14 +372,14 @@ def check_gate_point_permutation(trials=5):
     randomize_params(store, 21)
     descs = spfh_batch(cloud, patches.center_indices, patches.neighbor_indices)
     base = gate_forward(patches, descs, store, TINY).tokens.data
-    for _ in range(trials):
+    for _ in range(20):
         perm = rng.permutation(TINY.k)
         shuffled = type(patches)(patches.center_indices, patches.centers,
                                  patches.neighborhoods[:, perm], patches.neighbor_indices[:, perm])
         out = gate_forward(shuffled, descs, store, TINY).tokens.data
         if not np.array_equal(out, base):
             return False, "token changed under point permutation"
-    return True, f"{trials} permutations (exact)"
+    return True, "20 permutations (exact)"
 
 
 def check_mac_accounting():
@@ -385,10 +398,7 @@ def check_mac_accounting():
                   f"self m^2 coeff {c_sa[2]:.2e}")
 
 
-def check_checkpoint_roundtrip(tmp_dir=None):
-    import tempfile
-    from pathlib import Path
-
+def check_checkpoint_roundtrip():
     store = init_pretrain_params(TINY, seed=5)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "check.ckpt"

@@ -748,9 +748,6 @@ class ParamStore:
         for t in self._entries.values():
             t.grad = None
 
-    def clone_data(self) -> dict[str, np.ndarray]:
-        return {n: t.data.copy() for n, t in self.items()}
-
     def load_data(self, arrays: dict[str, np.ndarray]) -> None:
         for n, arr in arrays.items():
             if n not in self._entries:

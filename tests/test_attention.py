@@ -12,11 +12,9 @@ from pcmae.attention import (attention_macs, decoder_forward, encoder_forward,
                              stack_macs, transformer_block_forward)
 from pcmae.config import BlockConfig, ModelConfig
 from pcmae.gradcheck import check_param_gradients
-from pcmae.selfcheck import randomize_params
+from pcmae.selfcheck import TINY, randomize_params
 from pcmae.tensor import ParamStore, Tensor
 
-TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
-                   enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
 BLOCK = BlockConfig(d=8, heads=2, mlp_ratio=2, depth=1, s_mem=4)
 
 

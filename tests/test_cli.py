@@ -175,6 +175,10 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_selfcheck_takes_no_config_options(self, capsys):
+        assert main(["selfcheck", "--set", "d=48"]) == 1
+        assert "unrecognized arguments: --set d=48" in capsys.readouterr().err
+
     def test_unknown_config_key_is_usage_error(self, dataset, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"not_a_key": 1}))
@@ -310,8 +314,9 @@ class TestExitCodes:
             return out
 
         monkeypatch.setattr(training, "pretrain_forward", forward)
-        rc = main(["pretrain", "--dataset", str(dataset), "--config", str(config_file),
-                   "--epochs", "2", "--batch-size", "3", "--out", str(tmp_path / "o")])
+        with pytest.warns(RuntimeWarning):
+            rc = main(["pretrain", "--dataset", str(dataset), "--config", str(config_file),
+                       "--epochs", "2", "--batch-size", "3", "--out", str(tmp_path / "o")])
         first = init_pretrain_params(TINY, seed=0).trainable_names()[0]
         assert rc == EXIT_NUMERIC
         assert (f"numerical failure: divergence: non-finite gradient in {first} "

@@ -11,9 +11,7 @@ from pcmae.dataio import (CheckpointError, DataError, load_checkpoint, load_data
                           save_dataset, save_xyz, synth_shapes)
 from pcmae.geometry import PointCloud
 from pcmae.pipeline import chamfer_l2, init_pretrain_params
-
-TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
-                   enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
+from pcmae.selfcheck import TINY
 
 
 class TestXyz:

@@ -7,8 +7,7 @@ import pytest
 from pcmae.dataio import random_rotation
 from pcmae.geometry import (PointCloud, build_patches, estimate_normals,
                             estimate_normals_with_stats, farthest_point_sample,
-                            knn, normalize_cloud, pair_features, spfh_batch,
-                            spfh_descriptor)
+                            knn, normalize_cloud, pair_features, spfh_batch)
 from pcmae.selfcheck import fps_oracle
 
 
@@ -248,9 +247,9 @@ class TestSpfhDescriptor:
         pts = np.array([[0, 0, 0]] + [[1, 0, 0]] * 4, dtype=float)
         pts[1:] += np.arange(4)[:, None] * 1e-12  # keep points distinct
         normals = np.tile([0.0, 0.0, 1.0], (5, 1))
-        desc = spfh_descriptor(PointCloud(pts, normals), 0, [1, 2, 3, 4])
+        hist = spfh_batch(PointCloud(pts, normals), [0], [[1, 2, 3, 4]])[0]
         for block in range(3):
-            sub = desc.histogram[block * 11:(block + 1) * 11]
+            sub = hist[block * 11:(block + 1) * 11]
             assert (sub > 0).sum() == 1
             assert abs(sub.sum() - 1.0) < 1e-6
 
@@ -259,9 +258,9 @@ class TestSpfhDescriptor:
         pts = np.concatenate([rng.uniform(-1, 1, (9, 2)), np.zeros((9, 1))], axis=1)
         pts[0] = 0.0
         normals = np.tile([0.0, 0.0, 1.0], (9, 1))
-        desc = spfh_descriptor(PointCloud(pts, normals), 0, list(range(1, 9)))
-        alpha = desc.histogram[:11]
-        theta = desc.histogram[22:]
+        hist = spfh_batch(PointCloud(pts, normals), [0], [list(range(1, 9))])[0]
+        alpha = hist[:11]
+        theta = hist[22:]
         assert alpha[5] == 1.0      # bin containing 0 for range [-1, 1]
         assert theta[5] == 1.0      # bin containing 0 for range [-pi, pi]
 
@@ -302,11 +301,11 @@ class TestSpfhDescriptor:
         pts = np.zeros((4, 3))
         normals = np.tile([0.0, 0.0, 1.0], (4, 1))
         with pytest.raises(ValueError, match="degenerate neighborhood"):
-            spfh_descriptor(PointCloud(pts, normals), 0, [1, 2, 3])
+            spfh_batch(PointCloud(pts, normals), [0], [[1, 2, 3]])
 
     def test_center_skipped_in_pairs(self):
         rng = np.random.default_rng(21)
         cloud = _cloud_with_normals(rng)
-        with_self = spfh_descriptor(cloud, 5, [5, 8, 9, 10]).histogram
-        without = spfh_descriptor(cloud, 5, [8, 9, 10]).histogram
+        with_self = spfh_batch(cloud, [5], [[5, 8, 9, 10]])[0]
+        without = spfh_batch(cloud, [5], [[8, 9, 10]])[0]
         np.testing.assert_allclose(with_self, without, atol=1e-12)

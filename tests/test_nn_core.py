@@ -343,7 +343,8 @@ class TestFiniteDifferenceHarness:
 
     def test_nonfinite_rejected(self):
         x = Tensor(np.array([0.0]), requires_grad=True)
-        with pytest.raises(ValueError, match="non-finite gradient"):
+        with (pytest.warns(RuntimeWarning),
+              pytest.raises(ValueError, match="non-finite gradient")):
             finite_difference_check(lambda t: T.log(t).sum(), x)
 
 

@@ -15,13 +15,10 @@ from pcmae.pipeline import (chamfer_l2, chamfer_l2_t, extract_global_feature,
                             init_pretrain_params, prepare_cloud, pretrain_forward,
                             random_mask, reconstruction_dump, reconstruction_head,
                             tokenize)
-from pcmae.selfcheck import chamfer_oracle, randomize_params
+from pcmae.selfcheck import TINY, chamfer_oracle, randomize_params
 from pcmae import tensor as T
 from pcmae.tensor import ParamStore, Tensor
 from pcmae.training import _features_matrix, copy_store
-
-TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
-                   enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
 
 
 def random_cloud(seed, n=64):

@@ -5,14 +5,12 @@ import pytest
 from pcmae.config import ModelConfig
 from pcmae.gradcheck import check_param_gradients
 from pcmae.geometry import PatchSet, PointCloud, build_patches, estimate_normals, spfh_batch
-from pcmae.selfcheck import randomize_params
+from pcmae.selfcheck import TINY, randomize_params
 from pcmae.tensor import ParamStore, Tensor
 from pcmae import tensor as T
 from pcmae.tokenizer import (adaptive_saliency, embed_descriptor, embed_patch_points,
                              gate_forward, gate_macs, init_gate, latent_tokens)
 
-TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
-                   enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
 DEFAULT = ModelConfig()
 
 

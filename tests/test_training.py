@@ -12,12 +12,10 @@ from pcmae.dataio import synth_shapes
 from pcmae.geometry import PointCloud
 from pcmae.optim import AdamWState, DivergenceError, adamw_step, cosine_lr
 from pcmae.pipeline import extract_global_feature, init_pretrain_params
+from pcmae.selfcheck import TINY
 from pcmae.tensor import ParamStore
 from pcmae.training import (augment, evaluate_classifier, few_shot_episode,
                             finetune, pretrain_loop, run_few_shot)
-
-TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
-                   enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
 
 
 def store_digest(store, prefixes=("gate.", "enc.", "dec.", "head.")):
@@ -412,8 +410,9 @@ class TestPretrainLoop:
 
         monkeypatch.setattr(training, "pretrain_forward", forward)
         first = init_pretrain_params(TINY, seed=0).trainable_names()[0]
-        with pytest.raises(DivergenceError, match=rf"^divergence: non-finite gradient in "
-                                                  rf"{first} at epoch 2, step 3$"):
+        with (pytest.warns(RuntimeWarning),
+              pytest.raises(DivergenceError, match=rf"^divergence: non-finite gradient in "
+                                                   rf"{first} at epoch 2, step 3$")):
             pretrain_loop(clouds, TrainConfig(epochs=2, batch_size=1, seed=0), TINY)
 
 
@@ -503,7 +502,7 @@ class TestFinetune:
             return logits
 
         monkeypatch.setattr(training, "classifier_forward", forward)
-        with pytest.raises(DivergenceError) as err:
+        with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError) as err:
             finetune(backbone, items, protocol,
                      TrainConfig(epochs=2, batch_size=2, seed=0, augment=False), TINY)
         assert str(err.value) == (f"divergence: non-finite gradient in {poisoned[0]} "
