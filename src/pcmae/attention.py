@@ -32,7 +32,8 @@ def init_pos_embed(store: ParamStore, prefix: str, d: int, hidden: int,
 
 def positional_embed(centers: np.ndarray | Tensor, store: ParamStore, prefix: str,
                      d: int, hidden: int) -> Tensor:
-    """Shared 2-layer MLP mapping patch centers [m,3] to positional tokens [m,d]."""
+    """Shared 2-layer MLP mapping patch centers [..., m, 3] to positional tokens
+    [..., m, d]."""
     if not isinstance(centers, Tensor):
         dtype = store[f"{prefix}.l0.w"].data.dtype
         centers = Tensor(np.ascontiguousarray(centers, dtype=dtype))
@@ -62,14 +63,23 @@ def init_block(store: ParamStore, prefix: str, cfg: BlockConfig, mode: str,
         raise ValueError(f"unknown attention mode: {mode!r}")
 
 
+def _head_axes(lead: int) -> tuple:
+    """Axes that swap the two axes after ``lead`` leading ones."""
+    return tuple(range(lead)) + (lead + 1, lead, lead + 2)
+
+
 def _split_heads(x: Tensor, heads: int) -> Tensor:
-    m, d = x.shape
-    return x.reshape((m, heads, d // heads)).transpose((1, 0, 2))
+    """[..., m, d] -> [..., heads, m, d/heads]. Leading axes (a batch of
+    clouds) pass through, so each cloud's heads are the 2-D path's heads."""
+    *lead, m, d = x.shape
+    x = x.reshape((*lead, m, heads, d // heads))
+    return x.transpose(_head_axes(len(lead)))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
-    h, m, dh = x.shape
-    return x.transpose((1, 0, 2)).reshape((m, h * dh))
+    """[..., heads, m, d_h] -> [..., m, heads * d_h], the inverse of ``_split_heads``."""
+    *lead, h, m, dh = x.shape
+    return x.transpose(_head_axes(len(lead))).reshape((*lead, m, h * dh))
 
 
 def multi_head_self_attention(x: Tensor, store: ParamStore, prefix: str,
@@ -85,25 +95,31 @@ def multi_head_self_attention(x: Tensor, store: ParamStore, prefix: str,
     return affine(out, store, f"{prefix}.out")
 
 
+def external_attention_weights(q_heads: Tensor, m_k: Tensor) -> Tensor:
+    """Double-normalized weights [..., h, m, S] of query heads [..., h, m, d_h]
+    against the key memory M_k [h, S, d_h].
+
+    Raw scores Q M_k^T are softmax-normalized over the token axis (-2), then
+    l1-normalized over the memory axis (-1), so every token's row sums to 1.
+    The token softmax is the only step that mixes tokens, and it stays within
+    one cloud: leading axes are independent clouds that share the memories.
+    """
+    raw = T.matmul(q_heads, m_k.transpose((0, 2, 1)))
+    attn = T.softmax(raw, axis=-2)
+    return attn / attn.sum(axis=-1, keepdims=True)
+
+
 def multi_head_external_attention(x: Tensor, store: ParamStore, prefix: str,
                                   heads: int) -> Tensor:
-    """Attention against learnable per-head memories M_k, M_v ([heads, S, d_h]).
-
-    Raw scores Q M_k^T are softmax-normalized over the token axis, then
-    l1-normalized over the memory axis. Cost is linear in the token count.
-    """
+    """Attention of tokens [..., m, d] against learnable per-head memories
+    M_k, M_v ([heads, S, d_h]); cost is linear in the token count."""
     q_name = f"{prefix}.q.w"
     if q_name in store:
         q = linear(x, store, f"{prefix}.q")
     else:
         q = x
-    q = _split_heads(q, heads)                                   # [h, m, d_h]
-    m_k = store[f"{prefix}.mk"]
-    m_v = store[f"{prefix}.mv"]
-    raw = T.matmul(q, m_k.transpose((0, 2, 1)))                  # [h, m, S]
-    attn = T.softmax(raw, axis=1)
-    attn = attn / attn.sum(axis=2, keepdims=True)
-    out = _merge_heads(T.matmul(attn, m_v))
+    attn = external_attention_weights(_split_heads(q, heads), store[f"{prefix}.mk"])
+    out = _merge_heads(T.matmul(attn, store[f"{prefix}.mv"]))
     return affine(out, store, f"{prefix}.out")
 
 
@@ -144,8 +160,15 @@ def init_decoder(store: ParamStore, cfg: ModelConfig, rng, dtype=np.float32) -> 
 
 def encoder_forward(tokens: Tensor, centers: np.ndarray, store: ParamStore,
                     cfg: ModelConfig) -> Tensor:
-    """External-attention encoder over (visible) tokens [m, d] -> [m, d]."""
-    if tokens.shape[0] < 1:
+    """External-attention encoder over (visible) tokens [..., m, d] with their
+    centers [..., m, 3] -> [..., m, d].
+
+    Leading axes hold independent clouds: only external attention's token
+    softmax mixes tokens, and it stays within a cloud, so a [B, m, d] batch
+    gives each cloud the bytes of its own [m, d] call while every affine runs
+    on B*m rows at once.
+    """
+    if tokens.shape[-2] < 1:
         raise ValueError("mask ratio leaves no visible tokens")
     pos = positional_embed(centers, store, "enc.pos", cfg.d, cfg.embed_hidden)
     blocks = cfg.encoder_blocks()

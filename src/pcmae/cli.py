@@ -232,7 +232,7 @@ def _cmd_fewshot(args) -> int:
 def _cmd_extract(args) -> int:
     from .dataio import load_dataset, load_model_checkpoint, load_xyz
     from .geometry import normalize_cloud
-    from .pipeline import extract_global_feature
+    from .training import extract_features
 
     backbone, model_cfg, _ = load_model_checkpoint(args.checkpoint)
     named_clouds = []
@@ -245,10 +245,10 @@ def _cmd_extract(args) -> int:
     if not named_clouds:
         raise UsageError("extract needs --dataset or --input")
     width = model_cfg.feature_dim
+    feats = extract_features([cloud for _, cloud in named_clouds], model_cfg, backbone)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("cloud," + ",".join(f"f{i:03d}" for i in range(width)) + "\n")
-        for name, cloud in named_clouds:
-            feat = extract_global_feature(cloud, model_cfg, backbone)
+        for (name, _), feat in zip(named_clouds, feats):
             fh.write(name + "," + ",".join(f"{v:.9g}" for v in feat) + "\n")
     print(f"wrote {len(named_clouds)} feature rows to {args.out}")
     return EXIT_OK

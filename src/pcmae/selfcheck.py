@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .attention import (fit_mac_polynomial, init_block, multi_head_external_attention,
-                        multi_head_self_attention, encoder_forward, stack_macs)
+from .attention import (encoder_forward, external_attention_weights, fit_mac_polynomial,
+                        init_block, multi_head_external_attention,
+                        multi_head_self_attention, stack_macs)
 from .config import BlockConfig, ModelConfig, TrainConfig
 from .dataio import load_model_checkpoint, random_rotation, save_checkpoint
 from .gradcheck import check_param_gradients, finite_difference_check
@@ -309,41 +310,66 @@ def check_mask_cardinality():
     return True, f"{combos} (g, r) combinations"
 
 
+def ea_weights_oracle(q_heads: np.ndarray, m_k: np.ndarray) -> np.ndarray:
+    """External attention's double-normalized weights, one [m, S] matrix at a
+    time (per cloud and head): exp-normalize each memory column over the
+    tokens, then each token row over the memories."""
+    out = np.empty(q_heads.shape[:-1] + m_k.shape[1:2])
+    for idx in np.ndindex(q_heads.shape[:-2]):
+        raw = q_heads[idx] @ m_k[idx[-1]].T
+        cols = np.exp(raw - raw.max(axis=0))
+        cols /= cols.sum(axis=0)
+        out[idx] = cols / cols.sum(axis=1, keepdims=True)
+    return out
+
+
 def check_ea_row_sums():
     rng = np.random.default_rng(14)
-    # a 3-head block at d=12, and the shape of TINY's encoder blocks
+    worst = 0.0
+    # a 3-head block at d=12, and the shape of TINY's encoder blocks; m tokens
+    # of one cloud, or a batch [B, m] of clouds
     for cfgb in (BlockConfig(d=12, heads=3, mlp_ratio=2, depth=1, s_mem=5),
                  TINY.encoder_blocks()):
         store = ParamStore()
         init_block(store, "b", cfgb, "external", rng, np.float64)
         randomize_params(store, 15)
-        for m in (1, 2, 7):
-            x = Tensor(rng.normal(size=(m, cfgb.d)))
-            q = T.matmul(x, store["b.attn.q.w"])
-            q = q.reshape((m, cfgb.heads, cfgb.d_head)).transpose((1, 0, 2))
-            raw = T.matmul(q, store["b.attn.mk"].transpose((0, 2, 1)))
-            attn = T.softmax(raw, axis=1)
-            attn = attn / attn.sum(axis=2, keepdims=True)
-            sums = attn.data.sum(axis=2)
+        m_k = store["b.attn.mk"]
+        for lead in ((1,), (2,), (7,), (3, 5)):
+            x = rng.normal(size=lead + (cfgb.d,))
+            q = (x @ store["b.attn.q.w"].data).reshape(lead + (cfgb.heads, cfgb.d_head))
+            q_heads = np.moveaxis(q, -2, -3)                    # [..., h, m, d_h]
+            attn = external_attention_weights(Tensor(q_heads), m_k).data
+            sums = attn.sum(axis=-1)
             if np.abs(sums - 1.0).max() >= 1e-6:
-                return False, (f"d={cfgb.d} m={m}: row sums off by "
+                return False, (f"d={cfgb.d} tokens {lead}: row sums off by "
                                f"{np.abs(sums-1).max():.2e}")
-    return True, "token rows sum to 1 for d/heads in {12/3, 24/2}, m in {1,2,7}"
+            worst = max(worst, float(np.abs(attn - ea_weights_oracle(q_heads, m_k.data)).max()))
+            if worst >= 1e-12:
+                return False, f"d={cfgb.d} tokens {lead}: off the per-matrix oracle by {worst:.1e}"
+    return True, (f"token rows sum to 1 and match the per-matrix oracle (max dev {worst:.0e}) "
+                  "for d/heads in {12/3, 24/2}, m in {1,2,7}, and 3 clouds of 5 tokens")
 
 
 def check_saliency_range():
+    # the third case saturates the spatial gate (0.976 to 0.990), so a gate
+    # that overshoots 1 cannot stay below it
     rng = np.random.default_rng(16)
-    for x_scale, p_scale in ((5.0, 0.5), (4.0, 0.15)):
+    top = 0.0
+    for x_scale, p_scale, seed, case_rng in ((5.0, 0.5, 17, rng), (4.0, 0.15, 17, rng),
+                                             (2.0, 0.5, 23, np.random.default_rng(23))):
         store = ParamStore()
-        init_gate(store, TINY, rng, np.float64)
-        randomize_params(store, 17, scale=p_scale)
-        x = Tensor(rng.normal(0.0, x_scale, size=(TINY.g, TINY.k, TINY.c_p)))
+        init_gate(store, TINY, case_rng, np.float64)
+        randomize_params(store, seed, scale=p_scale)
+        x = Tensor(case_rng.normal(0.0, x_scale, size=(TINY.g, TINY.k, TINY.c_p)))
         weights, _ = adaptive_saliency(x, store, TINY)
         for arr in (weights.channel.data, weights.spatial.data):
             if not ((arr > 0.0).all() and (arr < 1.0).all()):
                 return False, (f"input scale {x_scale}, params {p_scale}: "
                                "gate left the open interval (0,1)")
-    return True, "all gates in (0,1) at input scales 5 and 4"
+        top = max(top, float(weights.spatial.data.max()))
+    if top < 0.9:
+        return False, f"spatial gates peak at {top:.3f}: no case reaches 0.9"
+    return True, f"all gates in (0,1) at input scales 5, 4 and 2; spatial gates up to {top:.4f}"
 
 
 def check_encoder_permutation():

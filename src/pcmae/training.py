@@ -174,19 +174,47 @@ def classifier_forward(features: Tensor, store: ParamStore,
     return affine(x, store, "cls.l2")
 
 
+# Clouds per featurization call. Geometry and GATE run per cloud; the encoder
+# then runs once on the chunk's [B, g, d] tokens, so its affines see B*g rows.
+# Frozen-backbone featurization, process time per cloud, BLAS on one thread,
+# 2-vCPU Xeon, median of 5 interleaved passes over 128 clouds at the
+# acceptance TINY config (g=16, d=96): 7.7 ms at B=1, 6.1-6.2 at B=4 to 64,
+# 6.6 at B=128. Default config (g=64, d=384), 3 passes over 32 clouds: 115 ms
+# at B=1, 95 at B=8 and at B=32. 32 sits on both plateaus.
+FEATURE_CHUNK = 32
+
+
+def extract_features(clouds: list[PointCloud], model_cfg: ModelConfig,
+                     store: ParamStore) -> np.ndarray:
+    """Global features [len(clouds), 2d] of ``clouds`` in order, one
+    ``extract_global_feature`` call per ``FEATURE_CHUNK`` of them."""
+    return np.concatenate([
+        extract_global_feature(clouds[lo:lo + FEATURE_CHUNK], model_cfg, store)
+        for lo in range(0, len(clouds), FEATURE_CHUNK)])
+
+
 def _features_matrix(items: list[LabeledItem], model_cfg: ModelConfig,
                      store: ParamStore, cache: dict | None) -> np.ndarray:
-    """Stacked float32 global features. ``cache`` maps ``id(cloud)`` to
-    ``(cloud, feature)``; an entry counts only for the very cloud it holds
-    (holding it also keeps the id from being reused)."""
-    rows = []
-    for cloud, _ in items:
+    """Stacked float32 global features [len(items), 2d], byte-equal to one
+    ``extract_global_feature`` call per cloud. ``cache`` maps ``id(cloud)``
+    to ``(cloud, feature)``; an entry counts only for the very cloud it holds
+    (holding it also keeps the id from being reused). The misses are
+    featurized in item order by ``extract_features``, in chunks of
+    ``FEATURE_CHUNK``."""
+    rows: list = [None] * len(items)
+    misses = []
+    for i, (cloud, _) in enumerate(items):
         entry = None if cache is None else cache.get(id(cloud))
-        if entry is None or entry[0] is not cloud:
-            entry = (cloud, extract_global_feature(cloud, model_cfg, store).astype(np.float32))
+        if entry is not None and entry[0] is cloud:
+            rows[i] = entry[1]
+        else:
+            misses.append(i)
+    if misses:
+        feats = extract_features([items[i][0] for i in misses], model_cfg, store)
+        for i, feat in zip(misses, feats.astype(np.float32)):
+            rows[i] = feat
             if cache is not None:
-                cache[id(cloud)] = entry
-        rows.append(entry[1])
+                cache[id(items[i][0])] = (items[i][0], feat)
     return np.stack(rows)
 
 

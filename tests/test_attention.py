@@ -5,8 +5,8 @@ import pytest
 
 from pcmae import tensor as T
 from pcmae.attention import (attention_macs, decoder_forward, encoder_forward,
-                             fit_mac_polynomial, init_block, init_decoder,
-                             init_encoder, init_pos_embed,
+                             external_attention_weights, fit_mac_polynomial,
+                             init_block, init_decoder, init_encoder, init_pos_embed,
                              multi_head_external_attention,
                              multi_head_self_attention, positional_embed,
                              stack_macs, transformer_block_forward)
@@ -88,18 +88,25 @@ class TestSelfAttention:
 
 class TestExternalAttention:
     def _attention_matrix(self, store, x):
-        m = x.shape[0]
-        q = T.matmul(Tensor(x), store["b.attn.q.w"]).reshape((m, 2, 4)).transpose((1, 0, 2))
-        raw = T.matmul(q, store["b.attn.mk"].transpose((0, 2, 1)))
-        attn = T.softmax(raw, axis=1)
-        return (attn / attn.sum(axis=2, keepdims=True)).data
+        """Weights [..., 2, m, 4] of tokens x [..., m, 8]."""
+        q = (x @ store["b.attn.q.w"].data).reshape(x.shape[:-1] + (2, 4))
+        return external_attention_weights(Tensor(np.moveaxis(q, -2, -3)),
+                                          store["b.attn.mk"]).data
 
     def test_double_normalized_rows_sum_to_one(self):
         store = block_store("external", 12)
-        for m in (1, 2, 9):
-            x = np.random.default_rng(13 + m).normal(size=(m, 8))
+        for lead in ((1,), (2,), (9,), (3, 5)):       # m tokens, or B clouds of m
+            x = np.random.default_rng(13 + sum(lead)).normal(size=lead + (8,))
             attn = self._attention_matrix(store, x)
-            np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-6)
+            assert attn.shape == lead[:-1] + (2, lead[-1], 4)
+            np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
+
+    def test_batched_weights_equal_per_cloud_weights(self):
+        store = block_store("external", 12)
+        x = np.random.default_rng(36).normal(size=(3, 5, 8))
+        batched = self._attention_matrix(store, x)
+        for b in range(3):
+            assert batched[b].tobytes() == self._attention_matrix(store, x[b]).tobytes()
 
     def test_single_token_row_is_uniform(self):
         store = block_store("external", 14)
@@ -194,6 +201,46 @@ class TestEncoderDecoder:
         store = full_stack_store(28)
         with pytest.raises(ValueError, match="no visible tokens"):
             encoder_forward(Tensor(np.zeros((0, 24))), np.zeros((0, 3)), store, TINY)
+        with pytest.raises(ValueError, match="no visible tokens"):
+            encoder_forward(Tensor(np.zeros((2, 0, 24))), np.zeros((2, 0, 3)), store, TINY)
+
+    @pytest.mark.parametrize("name, batch, m", [("tiny", 5, 4), ("default", 3, 64)])
+    def test_batched_encoder_bytes_equal_separate_calls(self, name, batch, m):
+        cfg = TINY if name == "tiny" else ModelConfig()
+        store = ParamStore()
+        init_encoder(store, cfg, np.random.default_rng(37), np.float32)
+        rng = np.random.default_rng(38)
+        tokens = rng.normal(size=(batch, m, cfg.d)).astype(np.float32)
+        centers = rng.normal(size=(batch, m, 3))
+        out = encoder_forward(Tensor(tokens), centers, store, cfg).data
+        assert out.dtype == np.float32 and out.shape == (batch, m, cfg.d)
+        for b in range(batch):
+            one = encoder_forward(Tensor(tokens[b]), centers[b], store, cfg).data
+            assert out[b].tobytes() == one.tobytes()
+
+    def test_batched_encoder_gradients_equal_separate_calls(self):
+        store = full_stack_store(39)
+        rng = np.random.default_rng(40)
+        tokens = rng.normal(size=(3, 4, 24))
+        centers = rng.normal(size=(3, 4, 3))
+        w = rng.normal(size=(3, 4, 24))
+
+        def grads(batched):
+            store.zero_grads()
+            x = Tensor(tokens, requires_grad=True)
+            if batched:
+                loss = (encoder_forward(x, centers, store, TINY) * Tensor(w)).sum()
+            else:
+                loss = sum((encoder_forward(x[b], centers[b], store, TINY) * Tensor(w[b])).sum()
+                           for b in range(3))
+            loss.backward()
+            return [x.grad] + [t.grad for n, t in store.items() if n.startswith("enc.")]
+
+        batched = grads(True)
+        separate = grads(False)
+        assert all(g is not None for g in batched)
+        for a, b in zip(batched, separate):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
     def test_decoder_returns_masked_rows_only(self):
         store = full_stack_store(29)

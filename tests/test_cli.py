@@ -11,8 +11,10 @@ from pcmae import tensor as T
 from pcmae import training
 from pcmae.cli import EXIT_DATA, EXIT_NUMERIC, main
 from pcmae.config import ModelConfig, TrainConfig
-from pcmae.dataio import load_checkpoint, save_checkpoint, save_dataset, synth_shapes
-from pcmae.pipeline import init_pretrain_params
+from pcmae.dataio import (load_checkpoint, load_dataset, load_model_checkpoint, load_xyz,
+                          save_checkpoint, save_dataset, synth_shapes)
+from pcmae.geometry import normalize_cloud
+from pcmae.pipeline import extract_global_feature, init_pretrain_params
 
 from test_dataio import set_length, with_config_block
 
@@ -141,6 +143,26 @@ class TestPointwiseCommands:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
         assert len(lines[1].split(",")) == 1 + 2 * TINY.d
+
+    def test_extract_csv_equals_per_cloud_features(self, dataset, pretrain_ckpt, tmp_path,
+                                                   monkeypatch):
+        # chunks of 4 split the 6 training clouds and the 2 input files 4 + 4
+        monkeypatch.setattr(training, "FEATURE_CHUNK", 4)
+        out = tmp_path / "features.csv"
+        inputs = sorted((dataset / "test").rglob("*.xyz"))[:2]
+        rc = main(["extract", "--checkpoint", str(pretrain_ckpt), "--dataset", str(dataset),
+                   "--split", "train", "--out", str(out)]
+                  + [arg for path in inputs for arg in ("--input", str(path))])
+        assert rc == 0
+        store, cfg, _ = load_model_checkpoint(pretrain_ckpt)
+        items, _ = load_dataset(dataset, "train", n=cfg.n, seed=0)
+        named = [(f"train[{i}]", c) for i, (c, _) in enumerate(items)]
+        named += [(str(p), normalize_cloud(load_xyz(p, n=cfg.n, seed=0))) for p in inputs]
+        want = ["cloud," + ",".join(f"f{i:03d}" for i in range(cfg.feature_dim))]
+        for name, cloud in named:
+            feat = extract_global_feature(cloud, cfg, store)
+            want.append(name + "," + ",".join(f"{v:.9g}" for v in feat))
+        assert out.read_text() == "\n".join(want) + "\n"
 
     def test_describe_rows(self, dataset, config_file, tmp_path, capsys):
         cloud_file = next((dataset / "train").rglob("*.xyz"))

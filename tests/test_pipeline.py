@@ -12,9 +12,9 @@ from pcmae.dataio import random_rotation, synth_shapes
 from pcmae.gradcheck import check_param_gradients
 from pcmae.geometry import PointCloud, build_patches, estimate_normals
 from pcmae.pipeline import (chamfer_l2, chamfer_l2_t, extract_global_feature,
-                            init_pretrain_params, prepare_cloud, pretrain_forward,
-                            random_mask, reconstruction_dump, reconstruction_head,
-                            tokenize)
+                            extract_global_feature_t, init_pretrain_params,
+                            prepare_cloud, pretrain_forward, random_mask,
+                            reconstruction_dump, reconstruction_head, tokenize)
 from pcmae.selfcheck import TINY, chamfer_oracle, randomize_params
 from pcmae import tensor as T
 from pcmae.tensor import ParamStore, Tensor
@@ -300,6 +300,28 @@ class TestGlobalFeature:
         a = extract_global_feature(cloud, TINY, store)
         b = extract_global_feature(cloud, TINY, store)
         assert np.array_equal(a, b)
+
+    def test_batch_equals_per_cloud_calls(self):
+        store = init_pretrain_params(TINY, seed=6)
+        clouds = [random_cloud(40 + i) for i in range(5)]
+        feats = extract_global_feature(clouds, TINY, store)
+        assert feats.shape == (5, TINY.feature_dim)
+        rows = [extract_global_feature(c, TINY, store) for c in clouds]
+        assert rows[0].shape == (TINY.feature_dim,)
+        assert feats.tobytes() == np.stack(rows).tobytes()
+
+    def test_trainable_store_gives_frozen_bytes(self):
+        store = init_pretrain_params(TINY, seed=6)
+        frozen = copy_store(store)
+        for n in frozen.names():
+            frozen.set_trainable(n, False)
+        clouds = [random_cloud(45 + i) for i in range(3)]
+        want = extract_global_feature(clouds, TINY, frozen)
+        graph = extract_global_feature_t(clouds, TINY, store)
+        assert graph.requires_grad
+        assert graph.data.tobytes() == want.tobytes()
+        assert extract_global_feature(clouds, TINY, store).tobytes() == want.tobytes()
+        assert all(t.requires_grad for _, t in store.items())
 
     def test_token_permutation_leaves_feature_unchanged(self):
         from pcmae.attention import encoder_forward

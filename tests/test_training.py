@@ -518,6 +518,36 @@ class TestFinetune:
         assert same_bytes(feats[0], want.astype(np.float32))
         assert cache[id(new)][0] is new
 
+    @pytest.mark.parametrize("count", [1, 32, 33, 67])
+    def test_feature_chunks_equal_per_cloud_rows(self, count, monkeypatch):
+        items, _ = tiny_dataset(per_class=(count + 1) // 2, seed=31)
+        items = items[:count]
+        store = init_pretrain_params(TINY, seed=2)
+        rows = np.stack([extract_global_feature(c, TINY, store).astype(np.float32)
+                         for c, _ in items])
+        chunks = []
+        real = training.extract_global_feature
+
+        def spy(clouds, *args):
+            chunks.append([id(c) for c in clouds])
+            return real(clouds, *args)
+
+        monkeypatch.setattr(training, "extract_global_feature", spy)
+        assert same_bytes(training._features_matrix(items, TINY, store, None), rows)
+        ids = [id(c) for c, _ in items]
+        assert chunks == [ids[lo:lo + 32] for lo in range(0, count, 32)]
+        if count < 33:
+            return
+        # cache hits between the misses, and a stale entry under a reused id
+        cache = {id(items[i][0]): (items[i][0], rows[i]) for i in range(0, count, 3)}
+        cache[ids[1]] = (items[0][0], rows[0])
+        chunks.clear()
+        assert same_bytes(training._features_matrix(items, TINY, store, cache), rows)
+        misses = [ids[i] for i in range(count) if i % 3]
+        assert chunks == [misses[lo:lo + 32] for lo in range(0, len(misses), 32)]
+        assert all(cache[id(c)][0] is c and same_bytes(cache[id(c)][1], rows[i])
+                   for i, (c, _) in enumerate(items))
+
     def test_linear_head_parameter_count(self):
         items, names = tiny_dataset(per_class=1)
         backbone = init_pretrain_params(TINY, seed=3)
