@@ -1,6 +1,9 @@
 """Optimizer, schedule, augmentation, training loops, and protocols."""
 import hashlib
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,3 +662,119 @@ class TestFewShot:
         assert len(accs) == 3
         assert mean == pytest.approx(float(np.mean(accs)))
         assert std == pytest.approx(float(np.std(accs)))
+
+
+def run_digest(store, curve):
+    """SHA-256 of every parameter (name, then bytes) and the exact loss curve."""
+    h = hashlib.sha256(store_digest(store, prefixes=("",)).encode())
+    h.update(repr([(e, v.hex()) for e, v in curve]).encode())
+    return h.hexdigest()
+
+
+def file_digests(root):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in sorted(root.iterdir())}
+
+
+class TestPinnedRuns:
+    """Short runs of both training loops, pinned by SHA-256: parameters, loss
+    curves and the files pretraining writes. The loops may change shape, not
+    the generator's draw order or any byte they produce."""
+
+    PRETRAIN = "af6eb3e350ca47d5304c2e7284f4a7b185554c560d47f313d7c5bf685b6cf1aa"
+    PRETRAIN_FILES = {"checkpoint_epoch0002.ckpt": "4ab81083ac08fa5d",
+                      "checkpoint_epoch0003.ckpt": "fc3afc68f3786561",
+                      "loss_curve.csv": "f764454c1cfbe0c4"}
+    DIVERGED_FILES = {"checkpoint_epoch0000.ckpt": "8272b9ba68bb3c98",
+                      "loss_curve.csv": "b30904d3450cc917"}
+    FINETUNE = {
+        "local-linear": "725e9fd59ef757b23f2a31ff2805a4cd23c5dbc20623f4044278df2ac3ca481b",
+        "local-nonlinear": "d94cc44a77a2a927a4c06095c53e52b952a070ad0f6775ed6d395100c88b1018",
+        "global-linear": "91ff9acc4bab868f622e246b9b42f6b9921de14fc46583965474ddf3909fba00",
+        "global-nonlinear": "6655472678e62ced329351ccdd566db667294b622a5c113b19b533a3fe70ac64",
+    }
+
+    def test_pretrain_loop(self, tmp_path):
+        # 5 clouds in batches of 2 (the last batch holds one), a checkpoint
+        # at epoch 2 and the final one at epoch 3
+        clouds = [c for c, _ in tiny_dataset(per_class=3)[0]][:5]
+        cfg = TrainConfig(lr_max=5e-4, epochs=3, batch_size=2, seed=21,
+                          checkpoint_epochs=(2,))
+        store, curve = pretrain_loop(clouds, cfg, TINY, out_dir=tmp_path)
+        assert [e for e, _ in curve] == [1, 2, 3]
+        assert run_digest(store, curve) == self.PRETRAIN
+        assert file_digests(tmp_path) == self.PRETRAIN_FILES
+
+    def test_pretrain_loop_diverged_in_epoch_2(self, tmp_path, monkeypatch):
+        # no checkpoint epoch was reached, so the weights as they stand
+        # (after epoch 1's one step) are saved as epoch 0, next to epoch 1's
+        # loss row
+        clouds = [c for c, _ in tiny_dataset(per_class=1)[0]]
+        real, calls = training.pretrain_forward, []
+
+        def forward(*args):
+            out = real(*args)
+            calls.append(1)
+            if len(calls) == 3:
+                out.loss = out.loss * float("nan")
+            return out
+
+        monkeypatch.setattr(training, "pretrain_forward", forward)
+        with pytest.raises(DivergenceError, match=r"at epoch 2, step 2$"):
+            pretrain_loop(clouds, TrainConfig(epochs=2, batch_size=2, seed=3), TINY,
+                          out_dir=tmp_path)
+        assert file_digests(tmp_path) == self.DIVERGED_FILES
+
+    @pytest.mark.parametrize("head", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("scope", ["local", "global"])
+    def test_finetune(self, scope, head):
+        items = tiny_dataset(per_class=3)[0][:5]
+        backbone = init_pretrain_params(TINY, seed=9)
+        protocol = FinetuneProtocol(scope=scope, head=head, num_classes=2)
+        cfg = TrainConfig(lr_max=5e-4, epochs=2, batch_size=2, seed=4, augment=False)
+        tuned, history = finetune(backbone, items, protocol, cfg, TINY)
+        assert [e for e, _ in history] == [1, 2]
+        assert run_digest(tuned, history) == self.FINETUNE[f"{scope}-{head}"]
+
+
+@pytest.fixture
+def bench_layers(monkeypatch):
+    """``LAYERS`` of ``perfbench/bench.py``, imported from the file as it is."""
+    here = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(here))      # bench imports its tracer
+    spec = importlib.util.spec_from_file_location("perfbench_bench", here / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)   # its dataclasses look it up
+    spec.loader.exec_module(bench)
+    return bench.LAYERS
+
+
+class TestBenchHooks:
+    """The benchmark times layers by replacing ``owner.attr`` for each entry
+    of its ``LAYERS``, so every name must exist and be looked up there at
+    call time by the code it measures."""
+
+    def test_every_hook_resolves(self, bench_layers):
+        for layer, owner, attr, _ in bench_layers:
+            assert callable(getattr(owner, attr, None)), layer
+
+    def test_every_hook_sees_calls(self, bench_layers, monkeypatch, tmp_path):
+        calls = {layer: 0 for layer, _, _, _ in bench_layers}
+
+        def counted(layer, fn):
+            def wrapper(*args, **kwargs):
+                calls[layer] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for layer, owner, attr, _ in bench_layers:
+            monkeypatch.setattr(owner, attr, counted(layer, getattr(owner, attr)))
+        items = tiny_dataset(per_class=1)[0]
+        backbone, _ = pretrain_loop([c for c, _ in items],
+                                    TrainConfig(epochs=1, batch_size=2, seed=0), TINY,
+                                    out_dir=tmp_path)
+        protocol = FinetuneProtocol(scope="local", head="linear", num_classes=2)
+        tuned, _ = finetune(backbone, items, protocol,
+                            TrainConfig(epochs=1, batch_size=2, seed=0), TINY)
+        evaluate_classifier(tuned, TINY, protocol, items)
+        assert [layer for layer, n in calls.items() if n == 0] == []
