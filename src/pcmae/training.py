@@ -9,16 +9,18 @@ reproduces loss curves and checkpoints bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import dataio
 from . import tensor as T
 from .config import FinetuneProtocol, ModelConfig, TrainConfig
 from .geometry import PointCloud
 from .layers import cross_entropy, dropout, init_layer_norm, init_mlp, layer_norm, mlp_apply
 from .optim import AdamWState, DivergenceError, adamw_step, cosine_lr
 from .pipeline import (BACKBONE_PREFIXES, extract_global_feature,
-                       extract_global_feature_t, pretrain_forward)
+                       extract_global_feature_t, init_pretrain_params, pretrain_forward)
 from .tensor import ParamStore, Tensor
 
 LabeledItem = tuple[PointCloud, int]
@@ -33,26 +35,47 @@ def augment(cloud: PointCloud, seed) -> PointCloud:
     return PointCloud(cloud.points * scale + shift, cloud.normals)
 
 
-def _check_finite(value: float, epoch: int, step: int) -> float:
-    """``value`` if finite; else a DivergenceError naming the epoch and the
-    optimizer step (both counted from 1 over the whole run)."""
-    if not np.isfinite(value):
-        raise DivergenceError(f"divergence: non-finite loss at epoch {epoch}, step {step}")
-    return value
+def _fit(store: ParamStore, n: int, train_cfg: TrainConfig, rng: np.random.Generator,
+         batch_losses, curve: list[tuple[int, float]], log=None, epoch_done=None) -> None:
+    """The run skeleton both protocols share: per epoch one permutation of the
+    ``n`` items from ``rng``, minibatches of ``train_cfg.batch_size`` in that
+    order, and one AdamW step at the cosine rate per minibatch, after which
+    the store's gradients are dropped, so none outlives its step.
 
-
-def _optimizer_step(store: ParamStore, state: AdamWState, lr: float, train_cfg: TrainConfig,
-                    epoch: int, step: int) -> None:
-    """One AdamW step on the store's leaf gradients, which are dropped right
-    after it, so no gradient outlives its step. A non-finite gradient raises
-    AdamW's DivergenceError with the epoch and the step appended, as counted
-    for the loss check."""
-    try:
-        adamw_step(store, {name: store[name].grad for name in store.trainable_names()
-                           if store[name].grad is not None}, state, lr, train_cfg)
-    except DivergenceError as exc:
-        raise DivergenceError(f"{exc} at epoch {epoch}, step {step}") from None
+    ``batch_losses(batch)`` is a generator over a minibatch's item indices:
+    it yields each loss value as soon as it has it, then runs that loss's
+    backward. A non-finite loss raises before its backward, and a non-finite
+    gradient raises AdamW's DivergenceError; both messages name the epoch
+    and the step, counted from 1 over the whole run. Each epoch's mean loss
+    is appended to ``curve`` (the caller's list, so it holds the finished
+    epochs when a step diverges) and logged; ``epoch_done(epoch)`` runs after
+    that."""
+    state = AdamWState()
+    total_steps = -(-n // train_cfg.batch_size) * train_cfg.epochs
+    step = 0
     store.zero_grads()
+    for epoch in range(1, train_cfg.epochs + 1):
+        perm = rng.permutation(n)
+        losses = []
+        for start in range(0, n, train_cfg.batch_size):
+            step += 1
+            for loss in batch_losses(perm[start:start + train_cfg.batch_size]):
+                if not np.isfinite(loss):
+                    raise DivergenceError(
+                        f"divergence: non-finite loss at epoch {epoch}, step {step}")
+                losses.append(loss)
+            try:
+                adamw_step(store, {name: store[name].grad for name in store.trainable_names()
+                                   if store[name].grad is not None},
+                           state, cosine_lr(step - 1, total_steps, train_cfg), train_cfg)
+            except DivergenceError as exc:
+                raise DivergenceError(f"{exc} at epoch {epoch}, step {step}") from None
+            store.zero_grads()
+        curve.append((epoch, float(np.mean(losses))))
+        if log is not None:
+            log(f"epoch {epoch}: loss {curve[-1][1]:.6f}")
+        if epoch_done is not None:
+            epoch_done(epoch)
 
 
 def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
@@ -66,68 +89,47 @@ def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
     ``loss_curve.csv``; a divergent step aborts with the last epoch's
     checkpoint on disk.
     """
-    from . import dataio
-
     if not clouds:
         raise ValueError("empty dataset")
-    from .pipeline import init_pretrain_params
-
     if store is None:
         store = init_pretrain_params(model_cfg, seed=train_cfg.seed)
     rng = np.random.default_rng(train_cfg.seed)
-    state = AdamWState()
-    n = len(clouds)
-    steps_per_epoch = (n + train_cfg.batch_size - 1) // train_cfg.batch_size
-    total_steps = steps_per_epoch * train_cfg.epochs
     curve: list[tuple[int, float]] = []
-    step = 0
-    out_dir_p = None
     if out_dir is not None:
-        import pathlib
-
-        out_dir_p = pathlib.Path(out_dir)
-        out_dir_p.mkdir(parents=True, exist_ok=True)
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     def save(epoch):
-        if out_dir_p is not None:
-            dataio.save_checkpoint(out_dir_p / f"checkpoint_epoch{epoch:04d}.ckpt",
+        if out_dir is not None:
+            dataio.save_checkpoint(out_dir / f"checkpoint_epoch{epoch:04d}.ckpt",
                                    store, model_cfg, train_cfg)
 
-    last_saved = None
-    store.zero_grads()
+    def batch_losses(batch):
+        inv = 1.0 / len(batch)
+        for idx in batch:
+            aug_seed = int(rng.integers(2**63))
+            fwd_seed = int(rng.integers(2**63))
+            cloud = clouds[int(idx)]
+            if train_cfg.augment:
+                cloud = augment(cloud, aug_seed)
+            out = pretrain_forward(cloud, model_cfg, store, fwd_seed)
+            yield float(out.loss.data)
+            (out.loss * inv).backward()
+
+    def epoch_done(epoch):
+        if epoch in train_cfg.checkpoint_epochs or epoch == train_cfg.epochs:
+            save(epoch)
+
     try:
-        for epoch in range(1, train_cfg.epochs + 1):
-            perm = rng.permutation(n)
-            epoch_losses = []
-            for start in range(0, n, train_cfg.batch_size):
-                batch = perm[start:start + train_cfg.batch_size]
-                inv = 1.0 / len(batch)
-                for idx in batch:
-                    aug_seed = int(rng.integers(2**63))
-                    fwd_seed = int(rng.integers(2**63))
-                    cloud = clouds[int(idx)]
-                    if train_cfg.augment:
-                        cloud = augment(cloud, aug_seed)
-                    out = pretrain_forward(cloud, model_cfg, store, fwd_seed)
-                    epoch_losses.append(_check_finite(float(out.loss.data), epoch, step + 1))
-                    (out.loss * inv).backward()
-                _optimizer_step(store, state, cosine_lr(step, total_steps, train_cfg), train_cfg,
-                                epoch, step + 1)
-                step += 1
-            mean_loss = float(np.mean(epoch_losses))
-            curve.append((epoch, mean_loss))
-            if log is not None:
-                log(f"epoch {epoch}: loss {mean_loss:.6f}")
-            if epoch in train_cfg.checkpoint_epochs or epoch == train_cfg.epochs:
-                save(epoch)
-                last_saved = epoch
+        _fit(store, len(clouds), train_cfg, rng, batch_losses, curve, log, epoch_done)
     except DivergenceError:
-        if out_dir_p is not None and last_saved is None:
+        # no checkpoint epoch finished: save the weights as they stand
+        if not any(epoch in train_cfg.checkpoint_epochs for epoch, _ in curve):
             save(0)
         raise
     finally:
-        if out_dir_p is not None:
-            dataio.write_csv(out_dir_p / "loss_curve.csv", ("epoch", "loss"),
+        if out_dir is not None:
+            dataio.write_csv(out_dir / "loss_curve.csv", ("epoch", "loss"),
                              [(e, f"{v:.9g}") for e, v in curve])
     return store, curve
 
@@ -244,37 +246,21 @@ def finetune(backbone: ParamStore, train_items: list[LabeledItem],
             store.freeze_prefix(prefix)
         feats_const = _features_matrix(train_items, model_cfg, store, feature_cache)
 
-    state = AdamWState()
-    n = len(train_items)
-    steps_per_epoch = (n + train_cfg.batch_size - 1) // train_cfg.batch_size
-    total_steps = steps_per_epoch * train_cfg.epochs
+    def batch_losses(batch):
+        if local:
+            feats = Tensor(feats_const[batch])
+        else:
+            feats = T.concat([extract_global_feature_t(train_items[int(idx)][0], model_cfg,
+                                                       store).reshape((1, -1))
+                              for idx in batch], axis=0)
+        logits = classifier_forward(feats, store, protocol, training=True, rng=rng)
+        loss = cross_entropy(logits, labels_all[batch], protocol.num_classes,
+                             train_cfg.label_smoothing)
+        yield float(loss.data)
+        loss.backward()
+
     history: list[tuple[int, float]] = []
-    step = 0
-    for epoch in range(1, train_cfg.epochs + 1):
-        perm = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, train_cfg.batch_size):
-            batch = perm[start:start + train_cfg.batch_size]
-            if local:
-                feats = Tensor(feats_const[batch])
-            else:
-                cols = []
-                for idx in batch:
-                    cloud, _ = train_items[int(idx)]
-                    cols.append(extract_global_feature_t(cloud, model_cfg, store).reshape((1, -1)))
-                feats = T.concat(cols, axis=0)
-            logits = classifier_forward(feats, store, protocol, training=True, rng=rng)
-            loss = cross_entropy(logits, labels_all[batch], protocol.num_classes,
-                                 train_cfg.label_smoothing)
-            epoch_losses.append(_check_finite(float(loss.data), epoch, step + 1))
-            loss.backward()
-            _optimizer_step(store, state, cosine_lr(step, total_steps, train_cfg), train_cfg,
-                            epoch, step + 1)
-            step += 1
-        mean_loss = float(np.mean(epoch_losses))
-        history.append((epoch, mean_loss))
-        if log is not None:
-            log(f"epoch {epoch}: loss {mean_loss:.6f}")
+    _fit(store, len(train_items), train_cfg, rng, batch_losses, history, log)
     return store, history
 
 
