@@ -11,8 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import (FinetuneProtocol, ModelConfig, SchemaError, TrainConfig,
-                     load_config_file, split_config_dict)
+from .config import (FinetuneProtocol, SchemaError, load_config_file,
+                     model_config_to_dict, split_config_dict)
 from .optim import DivergenceError
 
 EXIT_OK = 0
@@ -36,18 +36,34 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
                    help="override one config key (repeatable)")
 
 
-def _build_configs(args) -> tuple[ModelConfig, TrainConfig]:
+def _overrides(args) -> dict:
+    """Flat config keys from --config, then --set, then the command's flags."""
     raw = load_config_file(args.config) if args.config else {}
     for item in args.set:
         if "=" not in item:
             raise SchemaError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         raw[key.strip()] = _parse_literal(value.strip())
-    for attr, key in (("epochs", "epochs"), ("batch_size", "batch_size"),
-                      ("seed", "seed")):
-        if getattr(args, attr, None) is not None:
-            raw[key] = getattr(args, attr)
-    return split_config_dict(raw)
+    for key in ("epochs", "batch_size", "seed"):
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
+    return raw
+
+
+def _load_checkpoint_configs(args):
+    """The rule of every command that reads ``--checkpoint``: load it once,
+    start from its model config and apply the overrides on top. A model key
+    that then differs from the checkpoint's is a data error ('config
+    mismatch'); training keys start from the defaults. Returns (store, model
+    config, training config, config block)."""
+    from .dataio import CheckpointError, load_model_checkpoint
+
+    store, ckpt_cfg, block = load_model_checkpoint(args.checkpoint)
+    model_cfg, train_cfg = split_config_dict({**model_config_to_dict(ckpt_cfg),
+                                              **_overrides(args)})
+    if model_cfg != ckpt_cfg:
+        raise CheckpointError(f"{args.checkpoint}: config mismatch")
+    return store, model_cfg, train_cfg, block
 
 
 def _parse_literal(text: str):
@@ -146,7 +162,7 @@ def _cmd_pretrain(args) -> int:
     from .dataio import load_dataset
     from .training import pretrain_loop
 
-    model_cfg, train_cfg = _build_configs(args)
+    model_cfg, train_cfg = split_config_dict(_overrides(args))
     items, _ = load_dataset(args.dataset, args.split, n=model_cfg.n, seed=train_cfg.seed)
     clouds = [c for c, _ in items]
     out = _out_dir(args)
@@ -156,16 +172,10 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    from .dataio import (load_dataset, load_model_checkpoint, save_checkpoint,
-                         write_csv)
+    from .dataio import load_dataset, save_checkpoint, write_csv
     from .training import evaluate_classifier, finetune
 
-    model_cfg, train_cfg = _build_configs(args)
-    backbone, ckpt_model_cfg, _ = load_model_checkpoint(args.checkpoint)
-    if args.config or args.set:
-        # an explicit config must agree with the checkpoint
-        load_model_checkpoint(args.checkpoint, expect_model=model_cfg)
-    model_cfg = ckpt_model_cfg
+    backbone, model_cfg, train_cfg, _ = _load_checkpoint_configs(args)
     items, class_names = load_dataset(args.dataset, args.split, n=model_cfg.n,
                                       seed=train_cfg.seed)
     protocol = FinetuneProtocol(scope=args.scope, head=args.head,
@@ -188,10 +198,10 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .dataio import load_dataset, load_model_checkpoint, write_csv
+    from .dataio import load_dataset, write_csv
     from .training import evaluate_classifier
 
-    backbone, model_cfg, block = load_model_checkpoint(args.checkpoint)
+    backbone, model_cfg, _, block = _load_checkpoint_configs(args)
     extra = block.get("extra") or {}
     if "protocol" not in extra:
         raise SchemaError("checkpoint does not contain a classifier head")
@@ -208,11 +218,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_fewshot(args) -> int:
-    from .dataio import load_dataset, load_model_checkpoint, write_csv
+    from .dataio import load_dataset, write_csv
     from .training import run_few_shot
 
-    model_cfg, train_cfg = _build_configs(args)
-    backbone, model_cfg, _ = load_model_checkpoint(args.checkpoint)
+    backbone, model_cfg, train_cfg, _ = _load_checkpoint_configs(args)
     items, _ = load_dataset(args.dataset, args.split, n=model_cfg.n, seed=train_cfg.seed)
     accs, mean, std = run_few_shot(backbone, items, args.n, args.m, train_cfg,
                                    model_cfg, protocol_head=args.head,
@@ -230,11 +239,11 @@ def _cmd_fewshot(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    from .dataio import load_dataset, load_model_checkpoint, load_xyz
+    from .dataio import load_dataset, load_xyz
     from .geometry import normalize_cloud
     from .training import extract_features
 
-    backbone, model_cfg, _ = load_model_checkpoint(args.checkpoint)
+    backbone, model_cfg, _, _ = _load_checkpoint_configs(args)
     named_clouds = []
     if args.dataset:
         items, _ = load_dataset(args.dataset, args.split, n=model_cfg.n, seed=0)
@@ -256,14 +265,12 @@ def _cmd_extract(args) -> int:
 
 def _cmd_describe(args) -> int:
     from .dataio import load_xyz
-    from .geometry import build_patches, estimate_normals, normalize_cloud, spfh_batch
+    from .geometry import normalize_cloud
+    from .pipeline import patch_descriptors
 
-    model_cfg, train_cfg = _build_configs(args)
+    model_cfg, train_cfg = split_config_dict(_overrides(args))
     cloud = normalize_cloud(load_xyz(args.input, n=model_cfg.n, seed=train_cfg.seed))
-    cloud = estimate_normals(cloud, model_cfg.k_n)
-    patches = build_patches(cloud, model_cfg.g, model_cfg.k, seed=train_cfg.seed)
-    hists = spfh_batch(cloud, patches.center_indices, patches.neighbor_indices,
-                       bins=model_cfg.bins, variant=model_cfg.pair_feature_variant)
+    patches, hists = patch_descriptors(cloud, model_cfg, seed=train_cfg.seed)
     names = [f"{angle}_{b}" for angle in ("alpha", "phi", "theta")
              for b in range(model_cfg.bins)]
     lines = ["center," + ",".join(names)]
@@ -279,12 +286,11 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    from .dataio import load_model_checkpoint, load_xyz, save_xyz
+    from .dataio import load_xyz, save_xyz
     from .geometry import PointCloud, normalize_cloud
     from .pipeline import reconstruction_dump
 
-    model_cfg, train_cfg = _build_configs(args)
-    backbone, model_cfg, _ = load_model_checkpoint(args.checkpoint)
+    backbone, model_cfg, train_cfg, _ = _load_checkpoint_configs(args)
     cloud = normalize_cloud(load_xyz(args.input, n=model_cfg.n, seed=train_cfg.seed))
     inp, visible, predicted = reconstruction_dump(cloud, model_cfg, backbone,
                                                   seed=train_cfg.seed)

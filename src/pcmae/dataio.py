@@ -390,19 +390,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, config_block
 
 
-def restore_store(tensors: dict[str, np.ndarray]) -> ParamStore:
-    store = ParamStore()
-    for name in sorted(tensors):
-        store.add(name, tensors[name].copy())
-    return store
-
-
 def load_model_checkpoint(path, expect_model: ModelConfig | None = None
                           ) -> tuple[ParamStore, ModelConfig, dict]:
     """Load a checkpoint into a fresh ParamStore; when ``expect_model`` is
     given, any differing model config raises 'config mismatch'. A model block
     that is missing, has an unknown key or an invalid value raises
-    CheckpointError."""
+    CheckpointError, and so does a backbone tensor that the model config
+    implies (the names and shapes ``init_pretrain_params`` makes) but the
+    file lacks or holds in another shape, or a backbone tensor it does not
+    imply. Other tensors, such as a classifier head, are kept as they are."""
+    from .pipeline import BACKBONE_PREFIXES, init_pretrain_params
+
     tensors, config_block = load_checkpoint(path)
     model_block = config_block.get("model") if isinstance(config_block, dict) else None
     if not isinstance(model_block, dict):
@@ -413,4 +411,17 @@ def load_model_checkpoint(path, expect_model: ModelConfig | None = None
         raise CheckpointError(f"{path}: bad model config: {exc}") from None
     if expect_model is not None and model_config_to_dict(expect_model) != model_block:
         raise CheckpointError(f"{path}: config mismatch")
-    return restore_store(tensors), model_cfg, config_block
+    layout = {name: t.shape for name, t in init_pretrain_params(model_cfg).items()}
+    for name, shape in layout.items():
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape "
+                                  f"{tensors[name].shape}, expected {shape}")
+    for name in tensors:
+        if name.startswith(BACKBONE_PREFIXES) and name not in layout:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+    store = ParamStore()
+    for name in sorted(tensors):
+        store.add(name, tensors[name])      # load_checkpoint's arrays are fresh copies
+    return store, model_cfg, config_block

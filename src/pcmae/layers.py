@@ -14,14 +14,6 @@ from .tensor import ParamStore, Tensor, trunc_normal
 
 LAYER_NORM_EPS = 1e-5
 
-ACTIVATIONS = {
-    "gelu": T.gelu,
-    "relu": T.relu,
-    "sigmoid": T.sigmoid,
-    "tanh": T.tanh,
-    "none": lambda x: x,
-}
-
 
 def init_affine(store: ParamStore, name: str, n_in: int, n_out: int,
                 rng: np.random.Generator, dtype=np.float32) -> None:
@@ -55,16 +47,13 @@ def init_mlp(store: ParamStore, prefix: str, widths, rng, dtype=np.float32) -> N
         init_affine(store, f"{prefix}.l{i}", widths[i], widths[i + 1], rng, dtype)
 
 
-def mlp_apply(x: Tensor, store: ParamStore, prefix: str, widths,
-              activation: str = "gelu", final_activation: bool = False) -> Tensor:
-    """Affine stack with ``activation`` between layers (and after the last
-    only when ``final_activation``)."""
-    act = ACTIVATIONS[activation]
+def mlp_apply(x: Tensor, store: ParamStore, prefix: str, widths) -> Tensor:
+    """Affine stack with GELU between layers and none after the last."""
     n_layers = len(widths) - 1
     for i in range(n_layers):
         x = affine(x, store, f"{prefix}.l{i}")
-        if i < n_layers - 1 or final_activation:
-            x = act(x)
+        if i < n_layers - 1:
+            x = T.gelu(x)
     return x
 
 

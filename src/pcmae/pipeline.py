@@ -142,12 +142,19 @@ def prepare_cloud(cloud: PointCloud, cfg: ModelConfig) -> PointCloud:
     return cloud
 
 
-def tokenize(cloud: PointCloud, cfg: ModelConfig, store: ParamStore, seed):
-    """Geometry front end + GATE: returns (token sequence, patches)."""
+def patch_descriptors(cloud: PointCloud, cfg: ModelConfig, seed) -> tuple[PatchSet, np.ndarray]:
+    """Geometry front end: normals (carried, else estimated), FPS + kNN
+    patches, and one SPFH descriptor row [3 * bins] per patch."""
     cloud = prepare_cloud(cloud, cfg)
     patches = build_patches(cloud, cfg.g, cfg.k, seed=seed)
     descriptors = spfh_batch(cloud, patches.center_indices, patches.neighbor_indices,
                              bins=cfg.bins, variant=cfg.pair_feature_variant)
+    return patches, descriptors
+
+
+def tokenize(cloud: PointCloud, cfg: ModelConfig, store: ParamStore, seed):
+    """Geometry front end + GATE: returns (token sequence, patches)."""
+    patches, descriptors = patch_descriptors(cloud, cfg, seed)
     return gate_forward(patches, descriptors, store, cfg), patches
 
 

@@ -12,8 +12,9 @@ from pcmae import training
 from pcmae.cli import EXIT_DATA, EXIT_NUMERIC, main
 from pcmae.config import ModelConfig, TrainConfig
 from pcmae.dataio import (load_checkpoint, load_dataset, load_model_checkpoint, load_xyz,
-                          save_checkpoint, save_dataset, synth_shapes)
-from pcmae.geometry import normalize_cloud
+                          save_checkpoint, save_dataset, save_xyz, synth_shapes)
+from pcmae.geometry import (PointCloud, build_patches, estimate_normals, normalize_cloud,
+                            spfh_batch)
 from pcmae.pipeline import extract_global_feature, init_pretrain_params
 
 from test_dataio import set_length, with_config_block
@@ -174,6 +175,26 @@ class TestPointwiseCommands:
         assert len(lines) == 1 + TINY.g
         assert len(lines[1].split(",")) == 1 + 33
 
+    def test_describe_uses_carried_normals(self, config_file, tmp_path, capsys):
+        # a 6-column file's normals are the ones the model tokenizes with;
+        # random unit normals give other descriptors than the PCA estimate
+        points = synth_shapes(["torus"], per_class=1, n_points=TINY.n, seed=2)[0][0][0].points
+        normals = np.random.default_rng(4).normal(size=points.shape)
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        path = tmp_path / "cloud.xyz"
+        save_xyz(path, PointCloud(points, normals))
+        assert main(["describe", "--config", str(config_file), "--input", str(path),
+                     "--seed", "3"]) == 0
+        cloud = normalize_cloud(load_xyz(path, n=TINY.n, seed=3))
+        patches = build_patches(cloud, TINY.g, TINY.k, seed=3)
+        carried = spfh_batch(cloud, patches.center_indices, patches.neighbor_indices, TINY.bins)
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{c}," + ",".join(f"{v:.9g}" for v in row)
+            for c, row in zip(patches.center_indices, carried)]
+        estimated = spfh_batch(estimate_normals(cloud, TINY.k_n), patches.center_indices,
+                               patches.neighbor_indices, TINY.bins)
+        assert not np.array_equal(estimated, carried)
+
     def test_reconstruct_writes_three_files(self, dataset, pretrain_ckpt, tmp_path):
         cloud_file = next((dataset / "train").rglob("*.xyz"))
         out = tmp_path / "recon"
@@ -183,6 +204,74 @@ class TestPointwiseCommands:
         stem = cloud_file.stem
         for tag in ("input", "visible", "predicted"):
             assert (out / f"{stem}_{tag}.xyz").exists()
+
+
+@pytest.fixture(scope="module")
+def classifier_ckpt(tmp_path_factory, dataset, pretrain_ckpt):
+    out = tmp_path_factory.mktemp("clf")
+    assert main(["finetune", "--dataset", str(dataset), "--checkpoint", str(pretrain_ckpt),
+                 "--epochs", "1", "--batch-size", "4", "--out", str(out)]) == 0
+    return out / "classifier.ckpt"
+
+
+def checkpoint_command(command, dataset, pretrain_ckpt, classifier_ckpt, out):
+    """A short, successful run of one of the five commands that read a
+    checkpoint."""
+    cloud = str(next((dataset / "train").rglob("*.xyz")))
+    return {
+        "finetune": ["finetune", "--dataset", str(dataset), "--checkpoint", str(pretrain_ckpt),
+                     "--epochs", "1", "--batch-size", "4", "--out", str(out)],
+        "eval": ["eval", "--dataset", str(dataset), "--checkpoint", str(classifier_ckpt)],
+        "fewshot": ["fewshot", "--dataset", str(dataset), "--checkpoint", str(pretrain_ckpt),
+                    "--n", "2", "--m", "1", "--test-per-class", "1", "--episodes", "1",
+                    "--epochs", "1", "--out", str(out)],
+        "extract": ["extract", "--checkpoint", str(pretrain_ckpt), "--input", cloud,
+                    "--out", str(out / "features.csv")],
+        "reconstruct": ["reconstruct", "--checkpoint", str(pretrain_ckpt), "--input", cloud,
+                        "--out", str(out)],
+    }[command]
+
+
+class TestCheckpointCommands:
+    """One config rule for the commands that read a checkpoint: its model
+    config, then --config and --set on top; a model key that then differs
+    from the checkpoint is a data error, training keys apply."""
+
+    @pytest.mark.parametrize("command", ["finetune", "eval", "fewshot", "extract",
+                                         "reconstruct"])
+    def test_config_rule(self, command, dataset, pretrain_ckpt, classifier_ckpt, tmp_path,
+                         capsys):
+        args = checkpoint_command(command, dataset, pretrain_ckpt, classifier_ckpt, tmp_path)
+        assert main(args + ["--set", "d=48"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "config mismatch" in err and "Traceback" not in err
+        # a model key equal to the checkpoint's and a training-only key
+        assert main(args + ["--set", f"d={TINY.d}", "--set", "lr_max=0.002"]) == 0
+
+    def test_finetune_applies_training_keys(self, dataset, pretrain_ckpt, tmp_path):
+        out = tmp_path / "ft"
+        assert main(["finetune", "--dataset", str(dataset), "--checkpoint", str(pretrain_ckpt),
+                     "--set", "lr_max=0.002", "--epochs", "1", "--out", str(out)]) == 0
+        train = load_checkpoint(out / "classifier.ckpt")[1]["train"]
+        assert (train["lr_max"], train["epochs"]) == (0.002, 1)
+
+    @pytest.mark.parametrize("command", ["extract", "reconstruct"])
+    @pytest.mark.parametrize("name, shape", [("enc.ln.g", None), ("head.w", (TINY.d, 5))],
+                             ids=["missing", "misshapen"])
+    def test_backbone_layout_is_data_error(self, command, name, shape, dataset, tmp_path,
+                                           capsys):
+        store = init_pretrain_params(TINY, seed=0)
+        bad = T.ParamStore()
+        for key, t in store.items():
+            if key != name:
+                bad.add(key, t.data)
+            elif shape is not None:
+                bad.add(key, np.zeros(shape, dtype=np.float32))
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, bad, TINY, TrainConfig())
+        args = checkpoint_command(command, dataset, path, None, tmp_path)
+        assert main(args) == EXIT_DATA
+        assert f"data error: {path}: " in capsys.readouterr().err
 
 
 class TestSelfcheckCommand:

@@ -12,6 +12,7 @@ from pcmae.dataio import (CheckpointError, DataError, load_checkpoint, load_data
 from pcmae.geometry import PointCloud
 from pcmae.pipeline import chamfer_l2, init_pretrain_params
 from pcmae.selfcheck import TINY
+from pcmae.tensor import ParamStore
 
 
 class TestXyz:
@@ -276,6 +277,40 @@ class TestCheckpoint:
         save_checkpoint(path, store, TINY, TrainConfig())
         with pytest.raises(CheckpointError, match="config mismatch"):
             load_model_checkpoint(path, expect_model=ModelConfig())
+
+    @pytest.mark.parametrize("edit, message", [
+        ("drop enc.ln.g", "missing tensor 'enc.ln.g'"),
+        ("reshape head.w", r"tensor 'head.w' has shape \(24, 25\), expected \(24, 24\)"),
+        ("add enc.b09.ln1.g", "unexpected tensor 'enc.b09.ln1.g'"),
+    ], ids=["missing", "misshapen", "unexpected"])
+    def test_backbone_layout_checked(self, tmp_path, edit, message):
+        # TINY: d = 24 and 3k = 24 (head.w is [d, 3k]), 2 encoder blocks
+        cfg = TINY
+        store = init_pretrain_params(cfg, seed=5)
+        arrays = {name: t.data for name, t in store.items()}
+        action, name = edit.split()
+        if action == "drop":
+            del arrays[name]
+        elif action == "reshape":
+            arrays[name] = np.zeros((arrays[name].shape[0], arrays[name].shape[1] + 1))
+        else:
+            arrays[name] = np.ones(cfg.d)
+        edited = ParamStore()
+        for key, value in arrays.items():
+            edited.add(key, value)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, edited, cfg, TrainConfig())
+        with pytest.raises(CheckpointError, match=message):
+            load_model_checkpoint(path)
+
+    def test_classifier_tensors_load_as_they_are(self, tmp_path):
+        store = init_pretrain_params(TINY, seed=5)
+        store.add("cls.l0.w", np.ones((TINY.feature_dim, 3), dtype=np.float32))
+        path = tmp_path / "classifier.ckpt"
+        save_checkpoint(path, store, TINY, TrainConfig())
+        loaded, _, _ = load_model_checkpoint(path)
+        assert loaded.names() == store.names()
+        assert np.array_equal(loaded["cls.l0.w"].data, store["cls.l0.w"].data)
 
     def test_restores_into_equivalent_store(self, tmp_path):
         store = init_pretrain_params(TINY, seed=6)
