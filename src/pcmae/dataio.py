@@ -390,15 +390,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, config_block
 
 
-def load_model_checkpoint(path, expect_model: ModelConfig | None = None
-                          ) -> tuple[ParamStore, ModelConfig, dict]:
-    """Load a checkpoint into a fresh ParamStore; when ``expect_model`` is
-    given, any differing model config raises 'config mismatch'. A model block
-    that is missing, has an unknown key or an invalid value raises
-    CheckpointError, and so does a backbone tensor that the model config
-    implies (the names and shapes ``init_pretrain_params`` makes) but the
-    file lacks or holds in another shape, or a backbone tensor it does not
-    imply. Other tensors, such as a classifier head, are kept as they are."""
+def load_model_checkpoint(path) -> tuple[ParamStore, ModelConfig, dict]:
+    """Load a checkpoint into a fresh ParamStore. A model block that is
+    missing, has an unknown key or an invalid value raises CheckpointError,
+    and so does a backbone tensor that the model config implies (the names
+    and shapes ``init_pretrain_params`` makes) but the file lacks or holds in
+    another shape, or a backbone tensor it does not imply. Other tensors,
+    such as a classifier head, are kept as they are."""
     from .pipeline import BACKBONE_PREFIXES, init_pretrain_params
 
     tensors, config_block = load_checkpoint(path)
@@ -409,8 +407,6 @@ def load_model_checkpoint(path, expect_model: ModelConfig | None = None
         model_cfg = model_config_from_dict(model_block)
     except SchemaError as exc:
         raise CheckpointError(f"{path}: bad model config: {exc}") from None
-    if expect_model is not None and model_config_to_dict(expect_model) != model_block:
-        raise CheckpointError(f"{path}: config mismatch")
     layout = {name: t.shape for name, t in init_pretrain_params(model_cfg).items()}
     for name, shape in layout.items():
         if name not in tensors:

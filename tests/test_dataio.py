@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from pcmae.config import ModelConfig, TrainConfig
+from pcmae.config import TrainConfig
 from pcmae.dataio import (CheckpointError, DataError, load_checkpoint, load_dataset,
                           load_model_checkpoint, load_xyz, manifest_load,
                           resample_cloud, sample_shape, save_checkpoint,
@@ -271,13 +271,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="corrupt config block"):
             load_checkpoint(path)
 
-    def test_config_mismatch_rejected(self, tmp_path):
-        store = init_pretrain_params(TINY, seed=5)
-        path = tmp_path / "tiny.ckpt"
-        save_checkpoint(path, store, TINY, TrainConfig())
-        with pytest.raises(CheckpointError, match="config mismatch"):
-            load_model_checkpoint(path, expect_model=ModelConfig())
-
     @pytest.mark.parametrize("edit, message", [
         ("drop enc.ln.g", "missing tensor 'enc.ln.g'"),
         ("reshape head.w", r"tensor 'head.w' has shape \(24, 25\), expected \(24, 24\)"),
@@ -316,7 +309,7 @@ class TestCheckpoint:
         store = init_pretrain_params(TINY, seed=6)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, store, TINY, TrainConfig())
-        loaded, cfg, _ = load_model_checkpoint(path, expect_model=TINY)
+        loaded, cfg, _ = load_model_checkpoint(path)
         assert cfg == TINY
         assert loaded.names() == store.names()
         for name, t in store.items():
