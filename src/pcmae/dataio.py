@@ -23,6 +23,7 @@ from . import kernels
 from .config import (ModelConfig, SchemaError, TrainConfig,
                      model_config_from_dict, model_config_to_dict, train_config_to_dict)
 from .geometry import PointCloud, normalize_cloud
+from .pipeline import BACKBONE_PREFIXES, init_pretrain_params
 from .tensor import ParamStore
 
 
@@ -397,8 +398,6 @@ def load_model_checkpoint(path) -> tuple[ParamStore, ModelConfig, dict]:
     and shapes ``init_pretrain_params`` makes) but the file lacks or holds in
     another shape, or a backbone tensor it does not imply. Other tensors,
     such as a classifier head, are kept as they are."""
-    from .pipeline import BACKBONE_PREFIXES, init_pretrain_params
-
     tensors, config_block = load_checkpoint(path)
     model_block = config_block.get("model") if isinstance(config_block, dict) else None
     if not isinstance(model_block, dict):
