@@ -271,7 +271,8 @@ class TestCheckpointCommands:
         save_checkpoint(path, bad, TINY, TrainConfig())
         args = checkpoint_command(command, dataset, path, None, tmp_path)
         assert main(args) == EXIT_DATA
-        assert f"data error: {path}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"data error: {path}: " in err and repr(name) in err
 
 
 class TestSelfcheckCommand:
