@@ -15,52 +15,44 @@ import numpy as np
 
 from . import tensor as T
 from .config import BlockConfig, ModelConfig
-from .layers import (embed_mlp_apply, init_affine, init_embed_mlp,
-                     init_layer_norm, init_linear, init_mlp, affine, layer_norm,
-                     linear, mlp_apply)
-from .tensor import ParamStore, Tensor, trunc_normal
+from .layers import (affine, affine_layout, embed_mlp_apply, embed_mlp_layout, layer_norm,
+                     layer_norm_layout, linear, linear_layout, mlp_apply, mlp_layout)
+from .tensor import ParamStore, Tensor
 
 
-def _pos_widths(d: int, hidden: int):
-    return (3, hidden, d)
+def pos_embed_layout(prefix: str, d: int, hidden: int) -> list:
+    return embed_mlp_layout(prefix, (3, hidden, d))
 
 
-def init_pos_embed(store: ParamStore, prefix: str, d: int, hidden: int,
-                   rng: np.random.Generator, dtype=np.float32) -> None:
-    init_embed_mlp(store, prefix, _pos_widths(d, hidden), rng, dtype)
-
-
-def positional_embed(centers: np.ndarray | Tensor, store: ParamStore, prefix: str,
-                     d: int, hidden: int) -> Tensor:
+def positional_embed(centers: np.ndarray | Tensor, store: ParamStore, prefix: str) -> Tensor:
     """Shared 2-layer MLP mapping patch centers [..., m, 3] to positional tokens
     [..., m, d]."""
     if not isinstance(centers, Tensor):
         dtype = store[f"{prefix}.l0.w"].data.dtype
         centers = Tensor(np.ascontiguousarray(centers, dtype=dtype))
-    return embed_mlp_apply(centers, store, prefix, _pos_widths(d, hidden))
+    return embed_mlp_apply(centers, store, prefix)
 
 
-def init_block(store: ParamStore, prefix: str, cfg: BlockConfig, mode: str,
-               rng: np.random.Generator, dtype=np.float32,
-               ea_query_projection: bool = True) -> None:
+def block_layout(prefix: str, cfg: BlockConfig, mode: str,
+                 ea_query_projection: bool = True) -> list:
     d = cfg.d
     # external attention is invariant to constant token shifts (the token-axis
     # softmax cancels them), which makes a pre-attention LN bias dead weight
-    init_layer_norm(store, f"{prefix}.ln1", d, dtype, bias=(mode == "self"))
-    init_layer_norm(store, f"{prefix}.ln2", d, dtype)
-    init_mlp(store, f"{prefix}.mlp", (d, d * cfg.mlp_ratio, d), rng, dtype)
-    init_affine(store, f"{prefix}.attn.out", d, d, rng, dtype)
+    layout = (layer_norm_layout(f"{prefix}.ln1", d, bias=(mode == "self"))
+              + layer_norm_layout(f"{prefix}.ln2", d)
+              + mlp_layout(f"{prefix}.mlp", (d, d * cfg.mlp_ratio, d))
+              + affine_layout(f"{prefix}.attn.out", d, d))
     if mode == "self":
-        init_linear(store, f"{prefix}.attn.q", d, d, rng, dtype)
-        init_linear(store, f"{prefix}.attn.k", d, d, rng, dtype)
-        init_linear(store, f"{prefix}.attn.v", d, d, rng, dtype)
+        for proj in "qkv":
+            layout += linear_layout(f"{prefix}.attn.{proj}", d, d)
     elif mode == "external":
         if ea_query_projection:
-            init_linear(store, f"{prefix}.attn.q", d, d, rng, dtype)
-        store.add(f"{prefix}.attn.mk", trunc_normal(rng, (cfg.heads, cfg.s_mem, cfg.d_head), dtype=dtype))
-        store.add(f"{prefix}.attn.mv", trunc_normal(rng, (cfg.heads, cfg.s_mem, cfg.d_head), dtype=dtype))
+            layout += linear_layout(f"{prefix}.attn.q", d, d)
+        memory = (cfg.heads, cfg.s_mem, cfg.d_head)
+        layout += [(f"{prefix}.attn.mk", memory, "normal"), (f"{prefix}.attn.mv", memory, "normal")]
     else:
         raise ValueError(f"unknown attention mode: {mode!r}")
+    return layout
 
 
 def _head_axes(lead: int) -> tuple:
@@ -135,27 +127,26 @@ def transformer_block_forward(x: Tensor, pos: Tensor, mode: str,
     else:
         raise ValueError(f"unknown attention mode: {mode!r}")
     x = x + attn
-    x = x + mlp_apply(layer_norm(x, store, f"{prefix}.ln2"), store, f"{prefix}.mlp",
-                      (cfg.d, cfg.d * cfg.mlp_ratio, cfg.d))
+    x = x + mlp_apply(layer_norm(x, store, f"{prefix}.ln2"), store, f"{prefix}.mlp")
     return x
 
 
-def init_encoder(store: ParamStore, cfg: ModelConfig, rng, dtype=np.float32) -> None:
-    init_pos_embed(store, "enc.pos", cfg.d, cfg.embed_hidden, rng, dtype)
+def encoder_layout(cfg: ModelConfig) -> list:
+    layout = pos_embed_layout("enc.pos", cfg.d, cfg.embed_hidden)
     blocks = cfg.encoder_blocks()
     for i in range(blocks.depth):
-        init_block(store, f"enc.b{i:02d}", blocks, "external", rng, dtype,
-                   ea_query_projection=cfg.ea_query_projection)
-    init_layer_norm(store, "enc.ln", cfg.d, dtype)
+        layout += block_layout(f"enc.b{i:02d}", blocks, "external",
+                               ea_query_projection=cfg.ea_query_projection)
+    return layout + layer_norm_layout("enc.ln", cfg.d)
 
 
-def init_decoder(store: ParamStore, cfg: ModelConfig, rng, dtype=np.float32) -> None:
-    init_pos_embed(store, "dec.pos", cfg.d, cfg.embed_hidden, rng, dtype)
-    store.add("dec.mask_token", trunc_normal(rng, (cfg.d,), dtype=dtype))
+def decoder_layout(cfg: ModelConfig) -> list:
+    layout = pos_embed_layout("dec.pos", cfg.d, cfg.embed_hidden)
+    layout.append(("dec.mask_token", (cfg.d,), "normal"))
     blocks = cfg.decoder_blocks()
     for i in range(blocks.depth):
-        init_block(store, f"dec.b{i:02d}", blocks, "self", rng, dtype)
-    init_layer_norm(store, "dec.ln", cfg.d, dtype)
+        layout += block_layout(f"dec.b{i:02d}", blocks, "self")
+    return layout + layer_norm_layout("dec.ln", cfg.d)
 
 
 def encoder_forward(tokens: Tensor, centers: np.ndarray, store: ParamStore,
@@ -170,7 +161,7 @@ def encoder_forward(tokens: Tensor, centers: np.ndarray, store: ParamStore,
     """
     if tokens.shape[-2] < 1:
         raise ValueError("mask ratio leaves no visible tokens")
-    pos = positional_embed(centers, store, "enc.pos", cfg.d, cfg.embed_hidden)
+    pos = positional_embed(centers, store, "enc.pos")
     blocks = cfg.encoder_blocks()
     x = tokens
     for i in range(blocks.depth):
@@ -192,7 +183,7 @@ def decoder_forward(encoded: Tensor, centers_visible: np.ndarray,
     x = T.concat([encoded, mask_tokens], axis=0)
     all_centers = np.concatenate([np.asarray(centers_visible, dtype=np.float64),
                                   np.asarray(centers_masked, dtype=np.float64)], axis=0)
-    pos = positional_embed(all_centers, store, "dec.pos", cfg.d, cfg.embed_hidden)
+    pos = positional_embed(all_centers, store, "dec.pos")
     blocks = cfg.decoder_blocks()
     for i in range(blocks.depth):
         x = transformer_block_forward(x, pos, "self", store, f"dec.b{i:02d}", blocks)

@@ -48,14 +48,6 @@ class ModelConfig:
             raise SchemaError("pair_feature_variant must be 'standard' or 'paper-literal'")
 
     @property
-    def masked_count(self) -> int:
-        return int(self.r * self.g)
-
-    @property
-    def visible_count(self) -> int:
-        return self.g - self.masked_count
-
-    @property
     def feature_dim(self) -> int:
         return 2 * self.d
 

@@ -23,7 +23,7 @@ from . import kernels
 from .config import (ModelConfig, SchemaError, TrainConfig,
                      model_config_from_dict, model_config_to_dict, train_config_to_dict)
 from .geometry import PointCloud, normalize_cloud
-from .pipeline import BACKBONE_PREFIXES, init_pretrain_params
+from .pipeline import BACKBONE_PREFIXES, pretrain_layout
 from .tensor import ParamStore
 
 
@@ -395,9 +395,10 @@ def load_model_checkpoint(path) -> tuple[ParamStore, ModelConfig, dict]:
     """Load a checkpoint into a fresh ParamStore. A model block that is
     missing, has an unknown key or an invalid value raises CheckpointError,
     and so does a backbone tensor that the model config implies (the names
-    and shapes ``init_pretrain_params`` makes) but the file lacks or holds in
-    another shape, or a backbone tensor it does not imply. Other tensors,
-    such as a classifier head, are kept as they are."""
+    and shapes of ``pretrain_layout``, read without drawing any weights) but
+    the file lacks or holds in another shape, or a backbone tensor it does
+    not imply. Other tensors, such as a classifier head, are kept as they
+    are."""
     tensors, config_block = load_checkpoint(path)
     model_block = config_block.get("model") if isinstance(config_block, dict) else None
     if not isinstance(model_block, dict):
@@ -406,7 +407,7 @@ def load_model_checkpoint(path) -> tuple[ParamStore, ModelConfig, dict]:
         model_cfg = model_config_from_dict(model_block)
     except SchemaError as exc:
         raise CheckpointError(f"{path}: bad model config: {exc}") from None
-    layout = {name: t.shape for name, t in init_pretrain_params(model_cfg).items()}
+    layout = {name: shape for name, shape, _ in pretrain_layout(model_cfg)}
     for name, shape in layout.items():
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name!r}")

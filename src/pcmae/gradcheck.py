@@ -23,45 +23,17 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return np.abs(analytic - numeric) / denom
 
 
-def _coords(size: int, max_coords, rng) -> np.ndarray:
-    if max_coords is None or size <= max_coords:
-        return np.arange(size)
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    return rng.choice(size, size=max_coords, replace=False)
-
-
 def finite_difference_check(f, x: Tensor, h: float = 1e-5,
                             max_coords: int | None = None, rng=0) -> float:
     """Max relative error between the analytic gradient of scalar f at x and
-    central finite differences.
+    central finite differences: ``check_param_gradients`` over a store that
+    holds only x's array.
 
     ``f`` must rebuild its graph on every call (x.data is perturbed in place).
     """
-    x.requires_grad = True
-    x.zero_grad()
-    out = f(x)
-    if not np.isfinite(out.data).all():
-        raise ValueError("non-finite gradient")
-    out.backward()
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    if not np.isfinite(analytic).all():
-        raise ValueError("non-finite gradient")
-
-    flat = x.data.ravel()
-    a_flat = analytic.ravel()
-    worst = 0.0
-    for i in _coords(flat.size, max_coords, rng):
-        orig = flat[i]
-        flat[i] = orig + h
-        f_plus = float(f(x).data)
-        flat[i] = orig - h
-        f_minus = float(f(x).data)
-        flat[i] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        if not np.isfinite(numeric):
-            raise ValueError("non-finite gradient")
-        worst = max(worst, float(_rel_err(np.float64(a_flat[i]), np.float64(numeric))))
-    return worst
+    store = ParamStore()
+    store.add("x", x.data)
+    return check_param_gradients(lambda: f(store["x"]), store, h, max_coords, rng)
 
 
 def check_param_gradients(build_loss, store: ParamStore, h: float = 1e-5,

@@ -2,23 +2,26 @@
 and dropout, all expressed through the autodiff tensor ops and a ParamStore.
 
 Parameter naming is hierarchical and dot-separated, e.g. ``gate.fuse.l0.w``.
-Initialization: truncated normal (std 0.02) weights, zero biases, unit
-layer-norm gains.
+A model's parameters are declared as a layout: a list of ``(name, shape,
+init)`` entries in draw order, where ``init`` is ``normal`` (truncated
+normal, std 0.02: weights), ``zeros`` (biases) or ``ones`` (layer-norm
+gains). The ``*_layout`` functions here and in the model modules only name
+and shape; ``ParamStore.draw`` is the one place that draws a layout, entry
+by entry from one generator, so reading the names and shapes draws nothing.
+The forward helpers read a stack's depth from the store.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import ParamStore, Tensor, trunc_normal
+from .tensor import ParamStore, Tensor
 
 LAYER_NORM_EPS = 1e-5
 
 
-def init_affine(store: ParamStore, name: str, n_in: int, n_out: int,
-                rng: np.random.Generator, dtype=np.float32) -> None:
-    store.add(f"{name}.w", trunc_normal(rng, (n_in, n_out), dtype=dtype))
-    store.add(f"{name}.b", np.zeros(n_out, dtype=dtype))
+def affine_layout(name: str, n_in: int, n_out: int) -> list:
+    return [(f"{name}.w", (n_in, n_out), "normal"), (f"{name}.b", (n_out,), "zeros")]
 
 
 def affine(x: Tensor, store: ParamStore, name: str) -> Tensor:
@@ -28,11 +31,10 @@ def affine(x: Tensor, store: ParamStore, name: str) -> Tensor:
     return T.affine(x, w, store[f"{name}.b"])
 
 
-def init_linear(store: ParamStore, name: str, n_in: int, n_out: int,
-                rng: np.random.Generator, dtype=np.float32) -> None:
+def linear_layout(name: str, n_in: int, n_out: int) -> list:
     """Weight-only projection (attention q/k/v: a key/query bias is cancelled
     by the softmax, so none is allocated)."""
-    store.add(f"{name}.w", trunc_normal(rng, (n_in, n_out), dtype=dtype))
+    return [(f"{name}.w", (n_in, n_out), "normal")]
 
 
 def linear(x: Tensor, store: ParamStore, name: str) -> Tensor:
@@ -42,14 +44,23 @@ def linear(x: Tensor, store: ParamStore, name: str) -> Tensor:
     return T.matmul(x, w)
 
 
-def init_mlp(store: ParamStore, prefix: str, widths, rng, dtype=np.float32) -> None:
-    for i in range(len(widths) - 1):
-        init_affine(store, f"{prefix}.l{i}", widths[i], widths[i + 1], rng, dtype)
+def _depth(store: ParamStore, prefix: str) -> int:
+    """Affine layers ``prefix.l0``, ``prefix.l1``, ... of a stack in the store
+    (at least one, so a missing stack fails on its first layer)."""
+    n = 1
+    while f"{prefix}.l{n}.w" in store:
+        n += 1
+    return n
 
 
-def mlp_apply(x: Tensor, store: ParamStore, prefix: str, widths) -> Tensor:
+def mlp_layout(prefix: str, widths) -> list:
+    return [entry for i in range(len(widths) - 1)
+            for entry in affine_layout(f"{prefix}.l{i}", widths[i], widths[i + 1])]
+
+
+def mlp_apply(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     """Affine stack with GELU between layers and none after the last."""
-    n_layers = len(widths) - 1
+    n_layers = _depth(store, prefix)
     for i in range(n_layers):
         x = affine(x, store, f"{prefix}.l{i}")
         if i < n_layers - 1:
@@ -57,20 +68,22 @@ def mlp_apply(x: Tensor, store: ParamStore, prefix: str, widths) -> Tensor:
     return x
 
 
-def init_embed_mlp(store: ParamStore, prefix: str, widths, rng, dtype=np.float32) -> None:
+def embed_mlp_layout(prefix: str, widths) -> list:
     """Embedding MLP: affine -> layer norm -> GELU between layers.
 
     The hidden norms keep activations O(1) under the small-sigma weight init;
     without them stacked 0.02-scale affines attenuate tokens to noise level.
     """
+    layout = []
     for i in range(len(widths) - 1):
-        init_affine(store, f"{prefix}.l{i}", widths[i], widths[i + 1], rng, dtype)
+        layout += affine_layout(f"{prefix}.l{i}", widths[i], widths[i + 1])
         if i < len(widths) - 2:
-            init_layer_norm(store, f"{prefix}.n{i}", widths[i + 1], dtype)
+            layout += layer_norm_layout(f"{prefix}.n{i}", widths[i + 1])
+    return layout
 
 
-def embed_mlp_apply(x: Tensor, store: ParamStore, prefix: str, widths) -> Tensor:
-    n_layers = len(widths) - 1
+def embed_mlp_apply(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+    n_layers = _depth(store, prefix)
     for i in range(n_layers):
         x = affine(x, store, f"{prefix}.l{i}")
         if i < n_layers - 1:
@@ -79,11 +92,11 @@ def embed_mlp_apply(x: Tensor, store: ParamStore, prefix: str, widths) -> Tensor
     return x
 
 
-def init_layer_norm(store: ParamStore, name: str, c: int, dtype=np.float32,
-                    bias: bool = True) -> None:
-    store.add(f"{name}.g", np.ones(c, dtype=dtype))
+def layer_norm_layout(name: str, c: int, bias: bool = True) -> list:
+    layout = [(f"{name}.g", (c,), "ones")]
     if bias:
-        store.add(f"{name}.b", np.zeros(c, dtype=dtype))
+        layout.append((f"{name}.b", (c,), "zeros"))
+    return layout
 
 
 def layer_norm(x: Tensor, store: ParamStore, name: str) -> Tensor:

@@ -11,12 +11,12 @@ import numpy as np
 
 from . import kernels
 from . import tensor as T
-from .attention import decoder_forward, encoder_forward, init_decoder, init_encoder
+from .attention import decoder_forward, decoder_layout, encoder_forward, encoder_layout
 from .config import ModelConfig
 from .geometry import PatchSet, PointCloud, build_patches, estimate_normals, spfh_batch
-from .layers import init_affine, affine
+from .layers import affine, affine_layout
 from .tensor import ParamStore, Tensor
-from .tokenizer import gate_forward, init_gate
+from .tokenizer import gate_forward, gate_layout
 
 
 @dataclass
@@ -54,9 +54,8 @@ def random_mask(g: int, r: float, seed) -> MaskLayout:
     return MaskLayout(masked, visible, r)
 
 
-def init_reconstruction_head(store: ParamStore, cfg: ModelConfig, rng,
-                             dtype=np.float32) -> None:
-    init_affine(store, "head", cfg.d, 3 * cfg.k, rng, dtype)
+def reconstruction_head_layout(cfg: ModelConfig) -> list:
+    return affine_layout("head", cfg.d, 3 * cfg.k)
 
 
 def reconstruction_head(t_d: Tensor, k: int, store: ParamStore) -> Tensor:
@@ -66,14 +65,17 @@ def reconstruction_head(t_d: Tensor, k: int, store: ParamStore) -> Tensor:
     return out.reshape((m_c, k, 3))
 
 
+def pretrain_layout(cfg: ModelConfig) -> list:
+    """Names, shapes and inits of all learnable tensors of the pretraining
+    model, in draw order."""
+    return (gate_layout(cfg) + encoder_layout(cfg) + decoder_layout(cfg)
+            + reconstruction_head_layout(cfg))
+
+
 def init_pretrain_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamStore:
     """All learnable tensors of the pretraining model, deterministically seeded."""
-    rng = np.random.default_rng(seed)
     store = ParamStore()
-    init_gate(store, cfg, rng, dtype)
-    init_encoder(store, cfg, rng, dtype)
-    init_decoder(store, cfg, rng, dtype)
-    init_reconstruction_head(store, cfg, rng, dtype)
+    store.draw(pretrain_layout(cfg), np.random.default_rng(seed), dtype)
     return store
 
 

@@ -16,19 +16,19 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (encoder_forward, external_attention_weights, fit_mac_polynomial,
-                        init_block, multi_head_external_attention,
+                        block_layout, multi_head_external_attention,
                         multi_head_self_attention, stack_macs)
 from .config import BlockConfig, ModelConfig, TrainConfig
 from .dataio import load_model_checkpoint, random_rotation, save_checkpoint
 from .gradcheck import check_param_gradients, finite_difference_check
 from .geometry import (PointCloud, build_patches, estimate_normals,
                        farthest_point_sample, knn, pair_features, spfh_batch)
-from .layers import init_layer_norm, init_mlp, layer_norm, mlp_apply, pooled_stats
+from .layers import layer_norm, layer_norm_layout, mlp_apply, mlp_layout, pooled_stats
 from .pipeline import (chamfer_l2, chamfer_l2_t, init_pretrain_params,
-                       init_reconstruction_head, pretrain_forward, random_mask,
-                       reconstruction_head)
+                       pretrain_forward, random_mask, reconstruction_head,
+                       reconstruction_head_layout)
 from .tensor import ParamStore, Tensor
-from .tokenizer import adaptive_saliency, gate_forward, init_gate
+from .tokenizer import adaptive_saliency, gate_forward, gate_layout
 
 
 TINY = ModelConfig(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
@@ -218,13 +218,13 @@ def _gradient_checks() -> list[tuple[str, float]]:
     results = []
 
     store = ParamStore()
-    init_mlp(store, "m", (6, 12, 5), rng, np.float64)
+    store.draw(mlp_layout("m", (6, 12, 5)), rng, np.float64)
     x0 = rng.normal(size=(7, 6))
     results.append(("mlp", check_param_gradients(
-        lambda: mlp_apply(Tensor(x0), store, "m", (6, 12, 5)).sum(), store)))
+        lambda: mlp_apply(Tensor(x0), store, "m").sum(), store)))
 
     store = ParamStore()
-    init_layer_norm(store, "ln", 6, np.float64)
+    store.draw(layer_norm_layout("ln", 6), rng, np.float64)
     w = rng.normal(size=(5, 6))
     results.append(("layer_norm", check_param_gradients(
         lambda: (layer_norm(Tensor(x0[:5]), store, "ln") * Tensor(w)).sum(), store)))
@@ -239,30 +239,30 @@ def _gradient_checks() -> list[tuple[str, float]]:
     xa = rng.normal(size=(5, 8))
     wa = rng.normal(size=(5, 8))
     store = ParamStore()
-    init_block(store, "b", cfgb, "self", rng, np.float64)
+    store.draw(block_layout("b", cfgb, "self"), rng, np.float64)
     randomize_params(store, 8)
     results.append(("self_attention", check_param_gradients(
         lambda: (multi_head_self_attention(Tensor(xa), store, "b.attn", 2) * Tensor(wa)).sum(),
         store, min_grad=1e-8)))
 
     store = ParamStore()
-    init_block(store, "b", cfgb, "external", rng, np.float64)
+    store.draw(block_layout("b", cfgb, "external"), rng, np.float64)
     randomize_params(store, 9)
     results.append(("external_attention", check_param_gradients(
         lambda: (multi_head_external_attention(Tensor(xa), store, "b.attn", 2) * Tensor(wa)).sum(),
         store, min_grad=1e-8)))
 
     store = ParamStore()
-    init_gate(store, TINY, rng, np.float64)
+    store.draw(gate_layout(TINY), rng, np.float64)
     randomize_params(store, 10)
     xp = rng.normal(size=(TINY.g, TINY.k, TINY.c_p))
     results.append(("adaptive_saliency", check_param_gradients(
-        lambda: adaptive_saliency(Tensor(xp), store, TINY)[1].mean(), store,
+        lambda: adaptive_saliency(Tensor(xp), store)[1].mean(), store,
         names=[n for n in store.names() if n.startswith(("gate.ca", "gate.sa"))],
         min_grad=1e-8)))
 
     store = ParamStore()
-    init_reconstruction_head(store, TINY, rng, np.float64)
+    store.draw(reconstruction_head_layout(TINY), rng, np.float64)
     randomize_params(store, 11)
     td = rng.normal(size=(3, TINY.d))
     gt = rng.normal(0.0, 0.4, size=(3, TINY.k, 3))
@@ -331,7 +331,7 @@ def check_ea_row_sums():
     for cfgb in (BlockConfig(d=12, heads=3, mlp_ratio=2, depth=1, s_mem=5),
                  TINY.encoder_blocks()):
         store = ParamStore()
-        init_block(store, "b", cfgb, "external", rng, np.float64)
+        store.draw(block_layout("b", cfgb, "external"), rng, np.float64)
         randomize_params(store, 15)
         m_k = store["b.attn.mk"]
         for lead in ((1,), (2,), (7,), (3, 5)):
@@ -358,10 +358,10 @@ def check_saliency_range():
     for x_scale, p_scale, seed, case_rng in ((5.0, 0.5, 17, rng), (4.0, 0.15, 17, rng),
                                              (2.0, 0.5, 23, np.random.default_rng(23))):
         store = ParamStore()
-        init_gate(store, TINY, case_rng, np.float64)
+        store.draw(gate_layout(TINY), case_rng, np.float64)
         randomize_params(store, seed, scale=p_scale)
         x = Tensor(case_rng.normal(0.0, x_scale, size=(TINY.g, TINY.k, TINY.c_p)))
-        weights, _ = adaptive_saliency(x, store, TINY)
+        weights, _ = adaptive_saliency(x, store)
         for arr in (weights.channel.data, weights.spatial.data):
             if not ((arr > 0.0).all() and (arr < 1.0).all()):
                 return False, (f"input scale {x_scale}, params {p_scale}: "

@@ -428,16 +428,6 @@ def gelu(a) -> Tensor:
     return _result(data, (a,), bw)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-
-    def bw(g):
-        a._accumulate(g * (1.0 - data * data), fresh=True)
-
-    return _result(data, (a,), bw)
-
-
 # --- linear algebra -------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
@@ -700,6 +690,9 @@ def trunc_normal(rng: np.random.Generator, shape, std=0.02, dtype=np.float32) ->
     return out.astype(dtype)
 
 
+_FILLS = {"zeros": np.zeros, "ones": np.ones}
+
+
 class ParamStore:
     """Named parameter tensors with a per-entry trainable mask.
 
@@ -748,11 +741,13 @@ class ParamStore:
         for t in self._entries.values():
             t.grad = None
 
-    def load_data(self, arrays: dict[str, np.ndarray]) -> None:
-        for n, arr in arrays.items():
-            if n not in self._entries:
-                raise KeyError(f"unknown parameter: {n}")
-            t = self._entries[n]
-            if t.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {n}")
-            t.data = arr.astype(t.data.dtype, copy=True)
+    def draw(self, layout, rng: np.random.Generator, dtype=np.float32) -> None:
+        """Add a layout's ``(name, shape, init)`` entries in order: ``normal``
+        takes the next ``trunc_normal`` draw from ``rng``, ``zeros`` and
+        ``ones`` take nothing from it."""
+        for name, shape, init in layout:
+            if init == "normal":
+                data = trunc_normal(rng, shape, dtype=dtype)
+            else:
+                data = _FILLS[init](shape, dtype=dtype)
+            self.add(name, data)

@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .geometry import PatchSet
-from .layers import init_embed_mlp, embed_mlp_apply, init_mlp, mlp_apply
+from .layers import embed_mlp_apply, embed_mlp_layout, mlp_apply, mlp_layout
 from .tensor import ParamStore, Tensor
 
 
@@ -50,20 +50,18 @@ def _fuse_widths(cfg: ModelConfig):
     return (2 * cfg.c_p + cfg.c_d, cfg.d, cfg.d)
 
 
-def init_gate(store: ParamStore, cfg: ModelConfig, rng: np.random.Generator,
-              dtype=np.float32) -> None:
-    init_embed_mlp(store, "gate.patch_embed", _patch_widths(cfg), rng, dtype)
-    init_embed_mlp(store, "gate.desc_embed", _desc_widths(cfg), rng, dtype)
-    init_mlp(store, "gate.ca", _ca_widths(cfg), rng, dtype)
-    init_mlp(store, "gate.sa", _SA_WIDTHS, rng, dtype)
-    init_embed_mlp(store, "gate.fuse", _fuse_widths(cfg), rng, dtype)
+def gate_layout(cfg: ModelConfig) -> list:
+    return (embed_mlp_layout("gate.patch_embed", _patch_widths(cfg))
+            + embed_mlp_layout("gate.desc_embed", _desc_widths(cfg))
+            + mlp_layout("gate.ca", _ca_widths(cfg))
+            + mlp_layout("gate.sa", _SA_WIDTHS)
+            + embed_mlp_layout("gate.fuse", _fuse_widths(cfg)))
 
 
-def embed_patch_points(patches: Tensor | np.ndarray, store: ParamStore,
-                       cfg: ModelConfig) -> Tensor:
+def embed_patch_points(patches: Tensor | np.ndarray, store: ParamStore) -> Tensor:
     """Shared per-point MLP over centered neighbourhoods [g,k,3] -> [g,k,c_p]."""
     x = T.as_tensor(patches)
-    return embed_mlp_apply(x, store, "gate.patch_embed", _patch_widths(cfg))
+    return embed_mlp_apply(x, store, "gate.patch_embed")
 
 
 def embed_descriptor(descriptors: Tensor | np.ndarray, store: ParamStore,
@@ -72,11 +70,10 @@ def embed_descriptor(descriptors: Tensor | np.ndarray, store: ParamStore,
     x = T.as_tensor(descriptors)
     if x.shape[-1] != 3 * cfg.bins:
         raise ValueError(f"descriptor length must be {3 * cfg.bins}")
-    return embed_mlp_apply(x, store, "gate.desc_embed", _desc_widths(cfg))
+    return embed_mlp_apply(x, store, "gate.desc_embed")
 
 
-def adaptive_saliency(p_t: Tensor, store: ParamStore, cfg: ModelConfig
-                      ) -> tuple[SaliencyWeights, Tensor]:
+def adaptive_saliency(p_t: Tensor, store: ParamStore) -> tuple[SaliencyWeights, Tensor]:
     """Channel + spatial sigmoid gates over patch tokens.
 
     The channel gate pools over the k point positions, the spatial gate over
@@ -87,12 +84,12 @@ def adaptive_saliency(p_t: Tensor, store: ParamStore, cfg: ModelConfig
 
     # sorted_mean keeps the pooled statistic bit-identical under point
     # permutations, which the token contract requires exactly
-    ca_avg = mlp_apply(T.sorted_mean(p_t, axis=1), store, "gate.ca", _ca_widths(cfg))
-    ca_max = mlp_apply(p_t.max(axis=1), store, "gate.ca", _ca_widths(cfg))
+    ca_avg = mlp_apply(T.sorted_mean(p_t, axis=1), store, "gate.ca")
+    ca_max = mlp_apply(p_t.max(axis=1), store, "gate.ca")
     w_ca = T.sigmoid(ca_avg + ca_max).reshape((g, 1, c_p))
 
-    sa_avg = mlp_apply(p_t.mean(axis=2, keepdims=True), store, "gate.sa", _SA_WIDTHS)
-    sa_max = mlp_apply(p_t.max(axis=2, keepdims=True), store, "gate.sa", _SA_WIDTHS)
+    sa_avg = mlp_apply(p_t.mean(axis=2, keepdims=True), store, "gate.sa")
+    sa_max = mlp_apply(p_t.max(axis=2, keepdims=True), store, "gate.sa")
     w_sa = T.sigmoid(sa_avg + sa_max)
 
     salient = p_t * w_ca * w_sa
@@ -100,7 +97,7 @@ def adaptive_saliency(p_t: Tensor, store: ParamStore, cfg: ModelConfig
 
 
 def latent_tokens(p_t: Tensor, s_t: Tensor, d_t: Tensor, centers: np.ndarray,
-                  store: ParamStore, cfg: ModelConfig) -> TokenSequence:
+                  store: ParamStore) -> TokenSequence:
     """Fuse patch, salient and descriptor features into [g, d] tokens.
 
     The per-center descriptor row is broadcast along the k axis before
@@ -110,7 +107,7 @@ def latent_tokens(p_t: Tensor, s_t: Tensor, d_t: Tensor, centers: np.ndarray,
     g, k, c_p = p_t.shape
     d_rep = T.broadcast_to(d_t.reshape((g, 1, d_t.shape[-1])), (g, k, d_t.shape[-1]))
     fused = T.concat([p_t, s_t, d_rep], axis=2)
-    fused = embed_mlp_apply(fused, store, "gate.fuse", _fuse_widths(cfg))
+    fused = embed_mlp_apply(fused, store, "gate.fuse")
     tokens = fused.max(axis=1)
     return TokenSequence(tokens, np.asarray(centers, dtype=np.float64))
 
@@ -140,7 +137,7 @@ def gate_forward(patches: PatchSet, descriptors: np.ndarray, store: ParamStore,
     dtype = store["gate.fuse.l0.w"].data.dtype
     p_in = Tensor(np.ascontiguousarray(patches.neighborhoods, dtype=dtype))
     d_in = Tensor(np.ascontiguousarray(descriptors, dtype=dtype))
-    p_t = embed_patch_points(p_in, store, cfg)
+    p_t = embed_patch_points(p_in, store)
     d_t = embed_descriptor(d_in, store, cfg)
-    _, s_t = adaptive_saliency(p_t, store, cfg)
-    return latent_tokens(p_t, s_t, d_t, patches.centers, store, cfg)
+    _, s_t = adaptive_saliency(p_t, store)
+    return latent_tokens(p_t, s_t, d_t, patches.centers, store)

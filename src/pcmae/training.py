@@ -17,7 +17,8 @@ from . import dataio
 from . import tensor as T
 from .config import FinetuneProtocol, ModelConfig, TrainConfig
 from .geometry import PointCloud
-from .layers import cross_entropy, dropout, init_layer_norm, init_mlp, layer_norm, mlp_apply
+from .layers import (affine, cross_entropy, dropout, layer_norm, layer_norm_layout, mlp_apply,
+                     mlp_layout)
 from .optim import AdamWState, DivergenceError, adamw_step, cosine_lr
 from .pipeline import (BACKBONE_PREFIXES, extract_global_feature,
                        extract_global_feature_t, init_pretrain_params, pretrain_forward)
@@ -86,8 +87,9 @@ def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
     Returns the trained store (without gradients) and the per-epoch mean loss
     curve. When ``out_dir`` is given, checkpoints are written at the
     configured epochs (plus the final epoch) and the loss curve as
-    ``loss_curve.csv``; a divergent step aborts with the last epoch's
-    checkpoint on disk.
+    ``loss_curve.csv``. A divergent step aborts the run; if no checkpoint
+    epoch had finished by then, the weights after the last successful step
+    are saved as ``checkpoint_diverged.ckpt``.
     """
     if not clouds:
         raise ValueError("empty dataset")
@@ -99,9 +101,9 @@ def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def save(epoch):
+    def save(stem):
         if out_dir is not None:
-            dataio.save_checkpoint(out_dir / f"checkpoint_epoch{epoch:04d}.ckpt",
+            dataio.save_checkpoint(out_dir / f"checkpoint_{stem}.ckpt",
                                    store, model_cfg, train_cfg)
 
     def batch_losses(batch):
@@ -118,14 +120,14 @@ def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
 
     def epoch_done(epoch):
         if epoch in train_cfg.checkpoint_epochs or epoch == train_cfg.epochs:
-            save(epoch)
+            save(f"epoch{epoch:04d}")
 
     try:
         _fit(store, len(clouds), train_cfg, rng, batch_losses, curve, log, epoch_done)
     except DivergenceError:
         # no checkpoint epoch finished: save the weights as they stand
         if not any(epoch in train_cfg.checkpoint_epochs for epoch, _ in curve):
-            save(0)
+            save("diverged")
         raise
     finally:
         if out_dir is not None:
@@ -142,28 +144,22 @@ _NONLINEAR_HIDDEN = 256
 _DROPOUT_RATE = 0.5
 
 
-def init_classifier(store: ParamStore, model_cfg: ModelConfig,
-                    protocol: FinetuneProtocol, rng: np.random.Generator,
-                    dtype=np.float32) -> None:
+def classifier_layout(model_cfg: ModelConfig, protocol: FinetuneProtocol) -> list:
     f = model_cfg.feature_dim
     c = protocol.num_classes
     if protocol.head == "linear":
-        init_mlp(store, "cls", (f, c), rng, dtype)
-    else:
-        init_mlp(store, "cls", (f, _NONLINEAR_HIDDEN, _NONLINEAR_HIDDEN, c), rng, dtype)
-        init_layer_norm(store, "cls.ln0", _NONLINEAR_HIDDEN, dtype)
-        init_layer_norm(store, "cls.ln1", _NONLINEAR_HIDDEN, dtype)
+        return mlp_layout("cls", (f, c))
+    return (mlp_layout("cls", (f, _NONLINEAR_HIDDEN, _NONLINEAR_HIDDEN, c))
+            + layer_norm_layout("cls.ln0", _NONLINEAR_HIDDEN)
+            + layer_norm_layout("cls.ln1", _NONLINEAR_HIDDEN))
 
 
 def classifier_forward(features: Tensor, store: ParamStore,
                        protocol: FinetuneProtocol, training: bool = False,
                        rng: np.random.Generator | None = None) -> Tensor:
     """Logits [B, C] from pooled features [B, 2d]."""
-    from .layers import affine
-
     if protocol.head == "linear":
-        return mlp_apply(features, store, "cls",
-                         (features.shape[-1], protocol.num_classes))
+        return mlp_apply(features, store, "cls")
     # nonlinear: affine -> LN -> ReLU -> dropout, twice, then affine to C
     x = affine(features, store, "cls.l0")
     x = layer_norm(x, store, "cls.ln0")
@@ -239,7 +235,7 @@ def finetune(backbone: ParamStore, train_items: list[LabeledItem],
 
     store = copy_store(backbone)
     rng = np.random.default_rng(train_cfg.seed)
-    init_classifier(store, model_cfg, protocol, rng)
+    store.draw(classifier_layout(model_cfg, protocol), rng)
     local = protocol.scope == "local"
     if local:
         for prefix in BACKBONE_PREFIXES:

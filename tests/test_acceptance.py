@@ -9,7 +9,7 @@ import hashlib
 import time
 
 from pcmae.config import FinetuneProtocol, ModelConfig, TrainConfig
-from pcmae.dataio import load_checkpoint, save_checkpoint, synth_shapes
+from pcmae.dataio import load_checkpoint, load_model_checkpoint, save_checkpoint, synth_shapes
 from pcmae.optim import AdamWState, adamw_step, cosine_lr
 from pcmae.pipeline import init_pretrain_params, pretrain_forward
 from pcmae.selfcheck import ALL_CHECKS
@@ -142,11 +142,9 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
     ckpt_b = runs[1] / "checkpoint_epoch0003.ckpt"
     ckpts_equal = ckpt_a.read_bytes() == ckpt_b.read_bytes()
 
-    tensors, _ = load_checkpoint(ckpt_a)
-    store = init_pretrain_params(GRAD_CFG, seed=0)
-    store.load_data(tensors)
+    store, model_cfg, _ = load_model_checkpoint(ckpt_a)
     resaved = tmp_path / "resaved.ckpt"
-    save_checkpoint(resaved, store, GRAD_CFG, cfg)
+    save_checkpoint(resaved, store, model_cfg, cfg)
     roundtrip_equal = resaved.read_bytes() == ckpt_a.read_bytes()
 
     from pcmae.dataio import CheckpointError

@@ -6,7 +6,7 @@ import pytest
 from pcmae import tensor as T
 from pcmae.attention import (attention_macs, decoder_forward, encoder_forward,
                              external_attention_weights, fit_mac_polynomial,
-                             init_block, init_decoder, init_encoder, init_pos_embed,
+                             block_layout, decoder_layout, encoder_layout, pos_embed_layout,
                              multi_head_external_attention,
                              multi_head_self_attention, positional_embed,
                              stack_macs, transformer_block_forward)
@@ -20,8 +20,8 @@ BLOCK = BlockConfig(d=8, heads=2, mlp_ratio=2, depth=1, s_mem=4)
 
 def block_store(mode, seed=0, cfg=BLOCK, q_proj=True):
     store = ParamStore()
-    init_block(store, "b", cfg, mode, np.random.default_rng(seed), np.float64,
-               ea_query_projection=q_proj)
+    store.draw(block_layout("b", cfg, mode, ea_query_projection=q_proj),
+               np.random.default_rng(seed), np.float64)
     randomize_params(store, seed + 50)
     return store
 
@@ -29,29 +29,27 @@ def block_store(mode, seed=0, cfg=BLOCK, q_proj=True):
 class TestPositionalEmbed:
     def test_zero_final_layer_gives_zero_tokens(self):
         store = ParamStore()
-        init_pos_embed(store, "pos", 24, 8, np.random.default_rng(0), np.float64)
+        store.draw(pos_embed_layout("pos", 24, 8), np.random.default_rng(0), np.float64)
         store["pos.l1.w"].data[:] = 0.0
         store["pos.l1.b"].data[:] = 0.0
-        out = positional_embed(np.random.default_rng(1).normal(size=(6, 3)), store,
-                               "pos", 24, 8)
+        out = positional_embed(np.random.default_rng(1).normal(size=(6, 3)), store, "pos")
         assert out.shape == (6, 24)
         assert np.all(out.data == 0.0)
 
     def test_identical_centers_identical_rows(self):
         store = ParamStore()
-        init_pos_embed(store, "pos", 24, 8, np.random.default_rng(2), np.float64)
+        store.draw(pos_embed_layout("pos", 24, 8), np.random.default_rng(2), np.float64)
         randomize_params(store, 3)
         centers = np.tile([0.3, -0.2, 0.9], (5, 1))
-        out = positional_embed(centers, store, "pos", 24, 8).data
+        out = positional_embed(centers, store, "pos").data
         assert np.array_equal(out, np.tile(out[0], (5, 1)))
 
     def test_default_width(self):
         store = ParamStore()
         cfg = ModelConfig()
-        init_pos_embed(store, "pos", cfg.d, cfg.embed_hidden,
-                       np.random.default_rng(4), np.float32)
-        out = positional_embed(np.random.default_rng(5).normal(size=(26, 3)), store,
-                               "pos", cfg.d, cfg.embed_hidden)
+        store.draw(pos_embed_layout("pos", cfg.d, cfg.embed_hidden),
+                   np.random.default_rng(4), np.float32)
+        out = positional_embed(np.random.default_rng(5).normal(size=(26, 3)), store, "pos")
         assert out.shape == (26, 384)
 
 
@@ -126,11 +124,11 @@ class TestExternalAttention:
 
     def test_query_projection_switch(self):
         with_proj = ParamStore()
-        init_block(with_proj, "b", BLOCK, "external", np.random.default_rng(18),
-                   np.float64, ea_query_projection=True)
+        with_proj.draw(block_layout("b", BLOCK, "external", ea_query_projection=True),
+                       np.random.default_rng(18), np.float64)
         without = ParamStore()
-        init_block(without, "b", BLOCK, "external", np.random.default_rng(18),
-                   np.float64, ea_query_projection=False)
+        without.draw(block_layout("b", BLOCK, "external", ea_query_projection=False),
+                     np.random.default_rng(18), np.float64)
         assert "b.attn.q.w" in with_proj
         assert "b.attn.q.w" not in without
         x = Tensor(np.random.default_rng(19).normal(size=(3, 8)))
@@ -178,9 +176,8 @@ class TestTransformerBlock:
 
 def full_stack_store(seed=0):
     store = ParamStore()
-    rng = np.random.default_rng(seed)
-    init_encoder(store, TINY, rng, np.float64)
-    init_decoder(store, TINY, rng, np.float64)
+    store.draw(encoder_layout(TINY) + decoder_layout(TINY), np.random.default_rng(seed),
+               np.float64)
     randomize_params(store, seed + 1)
     return store
 
@@ -208,7 +205,7 @@ class TestEncoderDecoder:
     def test_batched_encoder_bytes_equal_separate_calls(self, name, batch, m):
         cfg = TINY if name == "tiny" else ModelConfig()
         store = ParamStore()
-        init_encoder(store, cfg, np.random.default_rng(37), np.float32)
+        store.draw(encoder_layout(cfg), np.random.default_rng(37), np.float32)
         rng = np.random.default_rng(38)
         tokens = rng.normal(size=(batch, m, cfg.d)).astype(np.float32)
         centers = rng.normal(size=(batch, m, 3))

@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from pcmae.config import TrainConfig
+from pcmae import tensor
+from pcmae.config import ModelConfig, TrainConfig
 from pcmae.dataio import (CheckpointError, DataError, load_checkpoint, load_dataset,
                           load_model_checkpoint, load_xyz, manifest_load,
                           resample_cloud, sample_shape, save_checkpoint,
@@ -304,6 +305,24 @@ class TestCheckpoint:
         loaded, _, _ = load_model_checkpoint(path)
         assert loaded.names() == store.names()
         assert np.array_equal(loaded["cls.l0.w"].data, store["cls.l0.w"].data)
+
+    @pytest.mark.parametrize("config", ["tiny", "default"])
+    def test_load_draws_nothing(self, tmp_path, monkeypatch, config):
+        # the layout check reads names and shapes only: no generator is made
+        # and no weight is drawn, even at the default config's 25.9M weights
+        cfg = TINY if config == "tiny" else ModelConfig()
+        store = init_pretrain_params(cfg, seed=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, store, cfg, TrainConfig())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model_checkpoint drew weights")
+
+        monkeypatch.setattr(tensor, "trunc_normal", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded, loaded_cfg, _ = load_model_checkpoint(path)
+        assert loaded_cfg == cfg
+        assert loaded.names() == store.names()
 
     def test_restores_into_equivalent_store(self, tmp_path):
         store = init_pretrain_params(TINY, seed=6)

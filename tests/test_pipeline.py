@@ -14,7 +14,8 @@ from pcmae.geometry import PointCloud, build_patches, estimate_normals
 from pcmae.pipeline import (chamfer_l2, chamfer_l2_t, extract_global_feature,
                             extract_global_feature_t, init_pretrain_params,
                             prepare_cloud, pretrain_forward, random_mask,
-                            reconstruction_dump, reconstruction_head, tokenize)
+                            reconstruction_dump, reconstruction_head,
+                            reconstruction_head_layout, tokenize)
 from pcmae.selfcheck import TINY, chamfer_oracle, randomize_params
 from pcmae import tensor as T
 from pcmae.tensor import ParamStore, Tensor
@@ -69,9 +70,7 @@ class TestRandomMask:
 class TestReconstructionHead:
     def test_zero_parameters_give_zero_patches(self):
         store = ParamStore()
-        from pcmae.pipeline import init_reconstruction_head
-
-        init_reconstruction_head(store, TINY, np.random.default_rng(0), np.float64)
+        store.draw(reconstruction_head_layout(TINY), np.random.default_rng(0), np.float64)
         store["head.w"].data[:] = 0.0
         out = reconstruction_head(Tensor(np.random.default_rng(1).normal(size=(3, 24))),
                                   TINY.k, store)
@@ -81,9 +80,7 @@ class TestReconstructionHead:
     def test_default_shapes(self):
         cfg = ModelConfig()
         store = ParamStore()
-        from pcmae.pipeline import init_reconstruction_head
-
-        init_reconstruction_head(store, cfg, np.random.default_rng(2), np.float32)
+        store.draw(reconstruction_head_layout(cfg), np.random.default_rng(2), np.float32)
         assert store["head.w"].data.shape == (384, 96)
         out = reconstruction_head(
             Tensor(np.random.default_rng(3).normal(size=(38, 384)).astype(np.float32)),
@@ -92,9 +89,7 @@ class TestReconstructionHead:
 
     def test_gradient_through_chamfer(self):
         store = ParamStore()
-        from pcmae.pipeline import init_reconstruction_head
-
-        init_reconstruction_head(store, TINY, np.random.default_rng(4), np.float64)
+        store.draw(reconstruction_head_layout(TINY), np.random.default_rng(4), np.float64)
         randomize_params(store, 5)
         rng = np.random.default_rng(6)
         td = rng.normal(size=(3, 24))

@@ -9,14 +9,14 @@ from pcmae.selfcheck import TINY, randomize_params
 from pcmae.tensor import ParamStore, Tensor
 from pcmae import tensor as T
 from pcmae.tokenizer import (adaptive_saliency, embed_descriptor, embed_patch_points,
-                             gate_forward, gate_macs, init_gate, latent_tokens)
+                             gate_forward, gate_layout, gate_macs, latent_tokens)
 
 DEFAULT = ModelConfig()
 
 
 def tiny_store(seed=0, dtype=np.float64, cfg=TINY):
     store = ParamStore()
-    init_gate(store, cfg, np.random.default_rng(seed), dtype)
+    store.draw(gate_layout(cfg), np.random.default_rng(seed), dtype)
     return store
 
 
@@ -31,7 +31,7 @@ class TestEmbeddings:
         store = tiny_store()
         store["gate.patch_embed.l1.w"].data[:] = 0.0
         store["gate.patch_embed.l1.b"].data[:] = 0.0
-        out = embed_patch_points(np.random.default_rng(0).normal(size=(4, 8, 3)), store, TINY)
+        out = embed_patch_points(np.random.default_rng(0).normal(size=(4, 8, 3)), store)
         assert out.shape == (4, 8, 16)
         assert np.all(out.data == 0.0)
 
@@ -39,16 +39,16 @@ class TestEmbeddings:
         store = randomized_store(1)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(4, 8, 3))
-        base = embed_patch_points(x, store, TINY).data
+        base = embed_patch_points(x, store).data
         perm = rng.permutation(8)
-        out = embed_patch_points(x[:, perm], store, TINY).data
+        out = embed_patch_points(x[:, perm], store).data
         assert np.array_equal(out, base[:, perm])
 
     def test_default_shapes(self):
         store = ParamStore()
-        init_gate(store, DEFAULT, np.random.default_rng(3), np.float32)
+        store.draw(gate_layout(DEFAULT), np.random.default_rng(3), np.float32)
         x = np.random.default_rng(4).normal(size=(64, 32, 3)).astype(np.float32)
-        assert embed_patch_points(x, store, DEFAULT).shape == (64, 32, 128)
+        assert embed_patch_points(x, store).shape == (64, 32, 128)
         d = np.random.default_rng(5).random((64, 33)).astype(np.float32)
         assert embed_descriptor(d, store, DEFAULT).shape == (64, 128)
 
@@ -71,7 +71,7 @@ class TestAdaptiveSaliency:
             if name.startswith(("gate.ca", "gate.sa")):
                 store[name].data[:] = 0.0
         x = Tensor(np.random.default_rng(8).normal(size=(4, 8, 16)))
-        weights, salient = adaptive_saliency(x, store, TINY)
+        weights, salient = adaptive_saliency(x, store)
         np.testing.assert_allclose(weights.channel.data, 0.5, atol=1e-12)
         np.testing.assert_allclose(weights.spatial.data, 0.5, atol=1e-12)
         np.testing.assert_allclose(salient.data, 0.25 * x.data, atol=1e-12)
@@ -79,14 +79,14 @@ class TestAdaptiveSaliency:
     def test_gates_in_open_interval(self):
         store = randomized_store(9)
         x = Tensor(np.random.default_rng(10).normal(0.0, 10.0, size=(4, 8, 16)))
-        weights, _ = adaptive_saliency(x, store, TINY)
+        weights, _ = adaptive_saliency(x, store)
         for arr in (weights.channel.data, weights.spatial.data):
             assert (arr > 0.0).all() and (arr < 1.0).all()
 
     def test_gate_shapes(self):
         store = randomized_store(11)
         weights, salient = adaptive_saliency(
-            Tensor(np.random.default_rng(12).normal(size=(4, 8, 16))), store, TINY)
+            Tensor(np.random.default_rng(12).normal(size=(4, 8, 16))), store)
         assert weights.channel.shape == (4, 1, 16)
         assert weights.spatial.shape == (4, 8, 1)
         assert salient.shape == (4, 8, 16)
@@ -95,7 +95,7 @@ class TestAdaptiveSaliency:
         store = randomized_store(13)
         x0 = np.random.default_rng(14).normal(size=(4, 8, 16))
         err = check_param_gradients(
-            lambda: adaptive_saliency(Tensor(x0), store, TINY)[1].mean(),
+            lambda: adaptive_saliency(Tensor(x0), store)[1].mean(),
             store, names=[n for n in store.names() if n.startswith(("gate.ca", "gate.sa"))],
             min_grad=1e-8)
         assert err < 1e-4
@@ -109,17 +109,17 @@ class TestLatentTokens:
         rng = np.random.default_rng(15)
         p_t = Tensor(rng.normal(size=(4, 8, 16)))
         d_t = Tensor(rng.normal(size=(4, 16)))
-        seq = latent_tokens(p_t, p_t, d_t, rng.normal(size=(4, 3)), store, TINY)
+        seq = latent_tokens(p_t, p_t, d_t, rng.normal(size=(4, 3)), store)
         assert seq.tokens.shape == (4, 24)
         assert np.all(seq.tokens.data == 0.0)
 
     def test_default_token_width(self):
         store = ParamStore()
-        init_gate(store, DEFAULT, np.random.default_rng(16), np.float32)
+        store.draw(gate_layout(DEFAULT), np.random.default_rng(16), np.float32)
         rng = np.random.default_rng(17)
         p_t = Tensor(rng.normal(size=(64, 32, 128)).astype(np.float32))
         d_t = Tensor(rng.normal(size=(64, 128)).astype(np.float32))
-        seq = latent_tokens(p_t, p_t, d_t, rng.normal(size=(64, 3)), store, DEFAULT)
+        seq = latent_tokens(p_t, p_t, d_t, rng.normal(size=(64, 3)), store)
         assert seq.tokens.shape == (64, 384)
 
 

@@ -685,7 +685,7 @@ class TestPinnedRuns:
     PRETRAIN_FILES = {"checkpoint_epoch0002.ckpt": "4ab81083ac08fa5d",
                       "checkpoint_epoch0003.ckpt": "fc3afc68f3786561",
                       "loss_curve.csv": "f764454c1cfbe0c4"}
-    DIVERGED_FILES = {"checkpoint_epoch0000.ckpt": "8272b9ba68bb3c98",
+    DIVERGED_FILES = {"checkpoint_diverged.ckpt": "8272b9ba68bb3c98",
                       "loss_curve.csv": "b30904d3450cc917"}
     FINETUNE = {
         "local-linear": "725e9fd59ef757b23f2a31ff2805a4cd23c5dbc20623f4044278df2ac3ca481b",
@@ -707,8 +707,8 @@ class TestPinnedRuns:
 
     def test_pretrain_loop_diverged_in_epoch_2(self, tmp_path, monkeypatch):
         # no checkpoint epoch was reached, so the weights as they stand
-        # (after epoch 1's one step) are saved as epoch 0, next to epoch 1's
-        # loss row
+        # (after epoch 1's one step) are saved as the diverged checkpoint,
+        # next to epoch 1's loss row
         clouds = [c for c, _ in tiny_dataset(per_class=1)[0]]
         real, calls = training.pretrain_forward, []
 
@@ -735,6 +735,46 @@ class TestPinnedRuns:
         tuned, history = finetune(backbone, items, protocol, cfg, TINY)
         assert [e for e, _ in history] == [1, 2]
         assert run_digest(tuned, history) == self.FINETUNE[f"{scope}-{head}"]
+
+
+def init_digest(store):
+    """SHA-256 of every parameter's name, dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for name, t in store.items():
+        h.update(f"{name} {t.data.dtype.str} {t.data.shape}".encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+class TestInitPins:
+    """Seeded initial parameters, pinned by SHA-256: the layout may change
+    shape, not the names, the shapes, the draw order or any drawn byte."""
+
+    PRETRAIN = {
+        ("tiny", "float32"): "49052f5c769e15215f153e1451b58065fa4553d36105a5131b6c9d61356227e8",
+        ("tiny", "float64"): "400fff53ce5a8b87075551b7b1289351b76f5a16a99dac16ddb85e404dd3cab6",
+        ("default", "float32"): "287a6c8e09823219499d7f52e73490dd2130d8686a3cc92c37eada494f1531e4",
+        ("default", "float64"): "a0df282d20f111d50f496c0fdd820dab0702c5eb42def48f02050feb9b2ba778",
+    }
+    CLASSIFIER = {
+        "linear": "be91ed98877bfe77cca390788b5620312934c200d436f0481b3c2d18b678318d",
+        "nonlinear": "b2ffb45d80408e8746c91d4ddabbe32fd379cf8aa1aed33b680d267de34c8e47",
+    }
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("config", ["tiny", "default"])
+    def test_pretrain_params(self, config, dtype):
+        cfg = TINY if config == "tiny" else ModelConfig()
+        store = init_pretrain_params(cfg, 0, np.dtype(dtype).type)
+        assert init_digest(store) == self.PRETRAIN[(config, dtype)]
+
+    @pytest.mark.parametrize("head", ["linear", "nonlinear"])
+    def test_backbone_and_classifier(self, head):
+        # finetune draws the head into its copy of the backbone from its generator
+        store = init_pretrain_params(TINY, seed=9)
+        protocol = FinetuneProtocol(scope="local", head=head, num_classes=40)
+        store.draw(training.classifier_layout(TINY, protocol), np.random.default_rng(4))
+        assert init_digest(store) == self.CLASSIFIER[head]
 
 
 @pytest.fixture
