@@ -14,7 +14,6 @@ import numpy as np
 
 from . import kernels
 
-FRAME_EPS = 1e-12
 HIST_BINS = 11
 
 
@@ -126,7 +125,7 @@ def _orthogonal_unit(v: np.ndarray) -> np.ndarray:
     ref = np.array([1.0, 0.0, 0.0]) if abs(v[0]) <= abs(v[2]) else np.array([0.0, 0.0, 1.0])
     w = np.cross(v, ref)
     n = np.linalg.norm(w)
-    if n < FRAME_EPS:
+    if n < kernels.FRAME_EPS:
         w = np.cross(v, np.array([0.0, 1.0, 0.0]))
         n = np.linalg.norm(w)
     return w / n
@@ -151,7 +150,7 @@ def estimate_normals_with_stats(cloud: PointCloud, k_n: int = 16) -> tuple[Point
     normals = evecs[:, :, 0].copy()
 
     degenerate = 0
-    scale = np.maximum(evals[:, 2], FRAME_EPS)
+    scale = np.maximum(evals[:, 2], kernels.FRAME_EPS)
     collinear = evals[:, 1] / scale < 1e-9
     for i in np.nonzero(collinear)[0]:
         dominant = evecs[i, :, 2]
@@ -162,9 +161,9 @@ def estimate_normals_with_stats(cloud: PointCloud, k_n: int = 16) -> tuple[Point
 
     outward = pts - pts.mean(axis=0)
     dots = (normals * outward).sum(axis=1)
-    flip = dots < -FRAME_EPS
+    flip = dots < -kernels.FRAME_EPS
     normals[flip] = -normals[flip]
-    ties = np.abs(dots) <= FRAME_EPS
+    ties = np.abs(dots) <= kernels.FRAME_EPS
     for i in np.nonzero(ties)[0]:
         j = int(np.argmax(np.abs(normals[i])))
         if normals[i, j] < 0:
@@ -197,7 +196,7 @@ def pair_features(p_q, n_q, p_i, n_i, variant: str = "standard") -> PairFeature:
     phi = float(np.clip(np.dot(u, dh), -1.0, 1.0))
     v = np.cross(dh, u)
     nv = float(np.linalg.norm(v))
-    if nv < FRAME_EPS:
+    if nv < kernels.FRAME_EPS:
         return PairFeature(0.0, phi, 0.0, degenerate=True)
     v = v / nv
     w = np.cross(u, v)

@@ -17,7 +17,7 @@ import numpy as np
 HAS_NUMBA = False
 USE_NUMBA = False
 
-_FRAME_EPS = 1e-12
+FRAME_EPS = 1e-12
 
 # float64 elements per row block of ``knn_indices``' distance tiles. At 2^16
 # a block is 64 rows at n = 1024, and its two tiles plus the partition's index
@@ -121,7 +121,7 @@ def spfh_histograms(points, normals, center_indices, neighbor_indices, bins, lit
     vy = dh[..., 2] * ux - dh[..., 0] * uz
     vz = dh[..., 0] * uy - dh[..., 1] * ux
     nv = np.sqrt(vx * vx + vy * vy + vz * vz)
-    frame_ok = nv >= _FRAME_EPS
+    frame_ok = nv >= FRAME_EPS
     nv_safe = np.where(frame_ok, nv, 1.0)
     vx, vy, vz = vx / nv_safe, vy / nv_safe, vz / nv_safe
     wx = uy * vz - uz * vy

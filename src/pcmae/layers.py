@@ -104,17 +104,6 @@ def layer_norm(x: Tensor, store: ParamStore, name: str) -> Tensor:
     return T.layer_norm(x, store[f"{name}.g"], bias, LAYER_NORM_EPS)
 
 
-def pooled_stats(x: Tensor, axis: int, mode: str) -> Tensor:
-    """Reduce along ``axis``; max routes its gradient to the lowest-index tie."""
-    if x.shape[axis] == 0:
-        raise ValueError("cannot pool over an empty axis")
-    if mode == "max":
-        return x.max(axis=axis)
-    if mode == "mean":
-        return x.mean(axis=axis)
-    raise ValueError(f"unknown pooling mode: {mode!r}")
-
-
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
     if not training or rate <= 0.0:
         return x

@@ -169,7 +169,7 @@ def pretrain_forward(cloud: PointCloud, cfg: ModelConfig, store: ParamStore,
     sequence, patches = tokenize(cloud, cfg, store, fps_seed)
     layout = random_mask(cfg.g, cfg.r, mask_seed)
 
-    visible_tokens = T.take_rows(sequence.tokens, layout.visible_indices)
+    visible_tokens = sequence.tokens[layout.visible_indices]
     encoded = encoder_forward(visible_tokens, sequence.centers[layout.visible_indices],
                               store, cfg)
     decoded = decoder_forward(encoded, sequence.centers[layout.visible_indices],

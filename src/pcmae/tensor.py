@@ -541,20 +541,6 @@ def getitem(a, key) -> Tensor:
     return _result(data, (a,), bw)
 
 
-def take_rows(a, indices) -> Tensor:
-    """Gather rows along axis 0 with an integer index array."""
-    a = as_tensor(a)
-    idx = np.asarray(indices, dtype=np.int64)
-    data = a.data[idx]
-
-    def bw(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        a._accumulate(buf, fresh=True)
-
-    return _result(data, (a,), bw)
-
-
 def concat(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)

@@ -184,55 +184,22 @@ FEATURE_CHUNK = 32
 
 def extract_features(clouds: list[PointCloud], model_cfg: ModelConfig,
                      store: ParamStore) -> np.ndarray:
-    """Global features [len(clouds), 2d] of ``clouds`` in order, one
-    ``extract_global_feature`` call per ``FEATURE_CHUNK`` of them."""
+    """Float32 global features [len(clouds), 2d] of ``clouds`` in order, one
+    ``extract_global_feature`` call per ``FEATURE_CHUNK`` of them; each row
+    equals its cloud's own call byte for byte."""
     return np.concatenate([
         extract_global_feature(clouds[lo:lo + FEATURE_CHUNK], model_cfg, store)
-        for lo in range(0, len(clouds), FEATURE_CHUNK)])
+        for lo in range(0, len(clouds), FEATURE_CHUNK)]).astype(np.float32, copy=False)
 
 
-def _features_matrix(items: list[LabeledItem], model_cfg: ModelConfig,
-                     store: ParamStore, cache: dict | None) -> np.ndarray:
-    """Stacked float32 global features [len(items), 2d], byte-equal to one
-    ``extract_global_feature`` call per cloud. ``cache`` maps ``id(cloud)``
-    to ``(cloud, feature)``; an entry counts only for the very cloud it holds
-    (holding it also keeps the id from being reused). The misses are
-    featurized in item order by ``extract_features``, in chunks of
-    ``FEATURE_CHUNK``."""
-    rows: list = [None] * len(items)
-    misses = []
-    for i, (cloud, _) in enumerate(items):
-        entry = None if cache is None else cache.get(id(cloud))
-        if entry is not None and entry[0] is cloud:
-            rows[i] = entry[1]
-        else:
-            misses.append(i)
-    if misses:
-        feats = extract_features([items[i][0] for i in misses], model_cfg, store)
-        for i, feat in zip(misses, feats.astype(np.float32)):
-            rows[i] = feat
-            if cache is not None:
-                cache[id(items[i][0])] = (items[i][0], feat)
-    return np.stack(rows)
-
-
-def finetune(backbone: ParamStore, train_items: list[LabeledItem],
-             protocol: FinetuneProtocol, train_cfg: TrainConfig,
-             model_cfg: ModelConfig, feature_cache: dict | None = None,
-             log=None) -> tuple[ParamStore, list[tuple[int, float]]]:
-    """Train a classification head on pooled global features.
-
-    ``scope=local`` freezes every backbone tensor (verified bit-identical by
-    the tests); ``scope=global`` lets gradients flow through the whole model.
-    Returns a new store containing backbone + head (without gradients) and
-    the loss history.
-    """
-    if not train_items:
-        raise ValueError("empty dataset")
-    labels_all = np.array([label for _, label in train_items], dtype=np.int64)
-    if labels_all.max() >= protocol.num_classes or labels_all.min() < 0:
-        raise ValueError("label outside the configured class count")
-
+def _fit_head(backbone: ParamStore, inputs, labels: np.ndarray, protocol: FinetuneProtocol,
+              train_cfg: TrainConfig, model_cfg: ModelConfig,
+              log=None) -> tuple[ParamStore, list[tuple[int, float]]]:
+    """Copy ``backbone``, draw the head into the copy from the run's generator
+    and train it with ``_fit``. ``inputs`` holds one entry per item: in local
+    scope its feature row (a float32 matrix) under a frozen backbone, in
+    global scope its cloud, whose graph each minibatch builds through the
+    whole model."""
     store = copy_store(backbone)
     rng = np.random.default_rng(train_cfg.seed)
     store.draw(classifier_layout(model_cfg, protocol), rng)
@@ -240,37 +207,60 @@ def finetune(backbone: ParamStore, train_items: list[LabeledItem],
     if local:
         for prefix in BACKBONE_PREFIXES:
             store.freeze_prefix(prefix)
-        feats_const = _features_matrix(train_items, model_cfg, store, feature_cache)
 
     def batch_losses(batch):
         if local:
-            feats = Tensor(feats_const[batch])
+            feats = Tensor(inputs[batch])
         else:
-            feats = T.concat([extract_global_feature_t(train_items[int(idx)][0], model_cfg,
+            feats = T.concat([extract_global_feature_t(inputs[int(idx)], model_cfg,
                                                        store).reshape((1, -1))
                               for idx in batch], axis=0)
         logits = classifier_forward(feats, store, protocol, training=True, rng=rng)
-        loss = cross_entropy(logits, labels_all[batch], protocol.num_classes,
+        loss = cross_entropy(logits, labels[batch], protocol.num_classes,
                              train_cfg.label_smoothing)
         yield float(loss.data)
         loss.backward()
 
     history: list[tuple[int, float]] = []
-    _fit(store, len(train_items), train_cfg, rng, batch_losses, history, log)
+    _fit(store, len(labels), train_cfg, rng, batch_losses, history, log)
     return store, history
 
 
+def finetune(backbone: ParamStore, train_items: list[LabeledItem],
+             protocol: FinetuneProtocol, train_cfg: TrainConfig,
+             model_cfg: ModelConfig, log=None) -> tuple[ParamStore, list[tuple[int, float]]]:
+    """Train a classification head on pooled global features.
+
+    ``scope=local`` freezes every backbone tensor (verified bit-identical by
+    the tests) and featurizes the items once; ``scope=global`` lets gradients
+    flow through the whole model. Returns a new store containing backbone +
+    head (without gradients) and the loss history.
+    """
+    if not train_items:
+        raise ValueError("empty dataset")
+    labels = np.array([label for _, label in train_items], dtype=np.int64)
+    if labels.max() >= protocol.num_classes or labels.min() < 0:
+        raise ValueError("label outside the configured class count")
+    clouds = [cloud for cloud, _ in train_items]
+    inputs = extract_features(clouds, model_cfg, backbone) if protocol.scope == "local" else clouds
+    return _fit_head(backbone, inputs, labels, protocol, train_cfg, model_cfg, log)
+
+
+def _accuracy(store: ParamStore, protocol: FinetuneProtocol, feats: np.ndarray,
+              labels: np.ndarray) -> float:
+    """Exact-match accuracy of the head's argmax predictions on feature rows."""
+    logits = classifier_forward(Tensor(feats), store, protocol, training=False)
+    return float((np.argmax(logits.data, axis=1) == labels).mean())
+
+
 def evaluate_classifier(store: ParamStore, model_cfg: ModelConfig,
-                        protocol: FinetuneProtocol, items: list[LabeledItem],
-                        feature_cache: dict | None = None) -> float:
+                        protocol: FinetuneProtocol, items: list[LabeledItem]) -> float:
     """Exact-match accuracy of argmax predictions."""
     if not items:
         raise ValueError("empty dataset")
-    feats = Tensor(_features_matrix(items, model_cfg, store, feature_cache))
-    logits = classifier_forward(feats, store, protocol, training=False)
-    pred = np.argmax(logits.data, axis=1)
-    labels = np.array([label for _, label in items], dtype=np.int64)
-    return float((pred == labels).mean())
+    feats = extract_features([cloud for cloud, _ in items], model_cfg, store)
+    return _accuracy(store, protocol, feats,
+                     np.array([label for _, label in items], dtype=np.int64))
 
 
 def copy_store(store: ParamStore) -> ParamStore:
@@ -293,28 +283,40 @@ class FewShotEpisode:
     classes: list[int]          # original class ids, indexed by episode label
 
 
-def few_shot_episode(items: list[LabeledItem], n_way: int, m_shot: int,
-                     test_per_class: int = 20, seed=0) -> FewShotEpisode:
+def _episode_indices(labels: list[int], n_way: int, m_shot: int, test_per_class: int,
+                     seed) -> tuple[list[int], list[int], list[int]]:
     """Sample n classes without replacement, then m train + ``test_per_class``
-    test objects per class, disjoint; deterministic per seed."""
+    test items per class, disjoint; deterministic per seed. Returns the train
+    and test item indices, class by class in episode order, and the chosen
+    class ids, so item j of a split has episode label j // (its per-class
+    count)."""
     rng = np.random.default_rng(seed)
     by_class: dict[int, list[int]] = {}
-    for i, (_, label) in enumerate(items):
+    for i, label in enumerate(labels):
         by_class.setdefault(int(label), []).append(i)
     eligible = sorted(c for c, idxs in by_class.items()
                       if len(idxs) >= m_shot + test_per_class)
     if len(eligible) < n_way:
         raise ValueError("insufficient samples per class")
-    chosen = rng.choice(np.array(eligible), size=n_way, replace=False)
-    train: list[LabeledItem] = []
-    test: list[LabeledItem] = []
-    for episode_label, cls in enumerate(int(c) for c in chosen):
+    chosen = [int(c) for c in rng.choice(np.array(eligible), size=n_way, replace=False)]
+    train: list[int] = []
+    test: list[int] = []
+    for cls in chosen:
         order = rng.permutation(by_class[cls])
-        for i in order[:m_shot]:
-            train.append((items[int(i)][0], episode_label))
-        for i in order[m_shot:m_shot + test_per_class]:
-            test.append((items[int(i)][0], episode_label))
-    return FewShotEpisode(train, test, [int(c) for c in chosen])
+        train.extend(int(i) for i in order[:m_shot])
+        test.extend(int(i) for i in order[m_shot:m_shot + test_per_class])
+    return train, test, chosen
+
+
+def few_shot_episode(items: list[LabeledItem], n_way: int, m_shot: int,
+                     test_per_class: int = 20, seed=0) -> FewShotEpisode:
+    """Sample n classes without replacement, then m train + ``test_per_class``
+    test objects per class, disjoint; deterministic per seed."""
+    train, test, chosen = _episode_indices([label for _, label in items], n_way, m_shot,
+                                           test_per_class, seed)
+    return FewShotEpisode([(items[i][0], j // m_shot) for j, i in enumerate(train)],
+                          [(items[i][0], j // test_per_class) for j, i in enumerate(test)],
+                          chosen)
 
 
 def run_few_shot(backbone: ParamStore, items: list[LabeledItem], n_way: int,
@@ -322,20 +324,33 @@ def run_few_shot(backbone: ParamStore, items: list[LabeledItem], n_way: int,
                  protocol_head: str = "linear", protocol_scope: str = "local",
                  episodes: int = 10, test_per_class: int = 20,
                  log=None) -> tuple[list[float], float, float]:
-    """Mean +- std accuracy over seeded episodes, one fine-tuned head each."""
+    """Mean +- std accuracy over seeded episodes, one fine-tuned head each.
+
+    Every episode is drawn first, as item indices. In local scope the
+    backbone is frozen, so the sorted union of the drawn items is featurized
+    once and each episode reads its rows of that matrix."""
+    clouds = [cloud for cloud, _ in items]
+    labels = [label for _, label in items]
+    drawn = [_episode_indices(labels, n_way, m_shot, test_per_class, train_cfg.seed + ep)[:2]
+             for ep in range(episodes)]
+    protocol = FinetuneProtocol(scope=protocol_scope, head=protocol_head, num_classes=n_way)
+    train_labels = np.repeat(np.arange(n_way), m_shot)
+    test_labels = np.repeat(np.arange(n_way), test_per_class)
+    local = protocol_scope == "local"
+    if local:
+        union = np.unique(np.concatenate([idx for split in drawn for idx in split]))
+        feats = extract_features([clouds[i] for i in union], model_cfg, backbone)
     accs = []
-    # features depend only on the frozen backbone, so a shared cache is only
-    # valid for local-scope episodes
-    cache: dict | None = {} if protocol_scope == "local" else None
-    for ep in range(episodes):
-        episode = few_shot_episode(items, n_way, m_shot, test_per_class,
-                                   seed=train_cfg.seed + ep)
-        protocol = FinetuneProtocol(scope=protocol_scope, head=protocol_head,
-                                    num_classes=n_way)
-        tuned, _ = finetune(backbone, episode.train, protocol, train_cfg,
-                            model_cfg, feature_cache=cache)
-        acc = evaluate_classifier(tuned, model_cfg, protocol, episode.test,
-                                  feature_cache=cache)
+    for ep, (train, test) in enumerate(drawn):
+        if local:
+            tuned, _ = _fit_head(backbone, feats[np.searchsorted(union, train)], train_labels,
+                                 protocol, train_cfg, model_cfg)
+            test_feats = feats[np.searchsorted(union, test)]
+        else:
+            tuned, _ = _fit_head(backbone, [clouds[i] for i in train], train_labels,
+                                 protocol, train_cfg, model_cfg)
+            test_feats = extract_features([clouds[i] for i in test], model_cfg, tuned)
+        acc = _accuracy(tuned, protocol, test_feats, test_labels)
         accs.append(acc)
         if log is not None:
             log(f"episode {ep}: accuracy {acc:.4f}")

@@ -116,22 +116,44 @@ class TestFinetuneEvalCommands:
             assert np.array_equal(tuned[name], arr), name
 
 
+@pytest.fixture(scope="module")
+def few_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fewdata")
+    items, names = synth_shapes(["sphere", "cube", "cylinder"],
+                                per_class=25, n_points=64, seed=3)
+    save_dataset(root, "train", items, names)
+    return root
+
+
+def run_fewshot(dataset, checkpoint, out, *extra):
+    return main(["fewshot", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                 "--n", "2", "--m", "3", "--episodes", "3", "--epochs", "2",
+                 "--batch-size", "6", "--out", str(out), *extra])
+
+
 class TestFewshotCommand:
-    def test_report_shape(self, tmp_path, pretrain_ckpt):
-        root = tmp_path / "fewdata"
-        items, names = synth_shapes(["sphere", "cube", "cylinder"],
-                                    per_class=25, n_points=64, seed=3)
-        save_dataset(root, "train", items, names)
+    # fewshot.csv of the pinned run, per scope
+    REPORTS = {
+        "local": "episode,accuracy\n0,0.425000\n1,0.500000\n2,0.475000\n"
+                 "mean,0.466667\nstd,0.031180\n",
+        "global": "episode,accuracy\n0,0.850000\n1,0.500000\n2,0.500000\n"
+                  "mean,0.616667\nstd,0.164992\n",
+    }
+
+    def test_report_shape(self, tmp_path, few_dataset, pretrain_ckpt):
         out = tmp_path / "few"
-        rc = main(["fewshot", "--dataset", str(root), "--checkpoint", str(pretrain_ckpt),
-                   "--n", "2", "--m", "3", "--episodes", "3", "--epochs", "2",
-                   "--batch-size", "6", "--out", str(out)])
-        assert rc == 0
+        assert run_fewshot(few_dataset, pretrain_ckpt, out) == 0
         lines = (out / "fewshot.csv").read_text().strip().splitlines()
         assert lines[0] == "episode,accuracy"
         assert len(lines) == 1 + 3 + 2
         assert lines[-2].startswith("mean,")
         assert lines[-1].startswith("std,")
+
+    @pytest.mark.parametrize("scope", ["local", "global"])
+    def test_report_bytes(self, scope, tmp_path, few_dataset, pretrain_ckpt):
+        out = tmp_path / "few"
+        assert run_fewshot(few_dataset, pretrain_ckpt, out, "--scope", scope) == 0
+        assert (out / "fewshot.csv").read_bytes() == self.REPORTS[scope].encode()
 
 
 class TestPointwiseCommands:

@@ -19,7 +19,7 @@ from pcmae.pipeline import (chamfer_l2, chamfer_l2_t, extract_global_feature,
 from pcmae.selfcheck import TINY, chamfer_oracle, randomize_params
 from pcmae import tensor as T
 from pcmae.tensor import ParamStore, Tensor
-from pcmae.training import _features_matrix, copy_store
+from pcmae.training import copy_store, extract_features
 
 
 def random_cloud(seed, n=64):
@@ -395,14 +395,15 @@ class TestPinnedBytes:
         cfg = TINY if name == "tiny" else ModelConfig()
         store = init_pretrain_params(cfg, seed=0)
         items, _ = synth_shapes(["torus", "cube"], per_class=1, n_points=cfg.n, seed=5)
+        clouds = [c for c, _ in items]
         frozen = copy_store(store)
         for n in frozen.names():
             frozen.set_trainable(n, False)
-        feats = _features_matrix(items, cfg, frozen, None)
+        feats = extract_features(clouds, cfg, frozen)
         assert feats.dtype == np.float32 and feats.shape == (2, cfg.feature_dim)
         assert _sha256([feats]) == self.FEATURES[name]
         # the trainable path computes the same features
-        assert _features_matrix(items, cfg, store, None).tobytes() == feats.tobytes()
+        assert extract_features(clouds, cfg, store).tobytes() == feats.tobytes()
         pretrain_forward(items[1][0], cfg, store, seed=4).loss.backward()
         grads = [t.grad for _, t in store.items()]
         assert all(g is not None for g in grads)

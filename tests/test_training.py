@@ -511,45 +511,24 @@ class TestFinetune:
         assert str(err.value) == (f"divergence: non-finite gradient in {poisoned[0]} "
                                   "at epoch 2, step 4")
 
-    def test_feature_cache_ignores_a_stale_entry_under_a_reused_id(self):
-        (old, _), (new, _) = tiny_dataset(per_class=1)[0]
-        store = init_pretrain_params(TINY, seed=2)
-        # as if ``old`` had been freed and ``new`` had been given its id
-        cache = {id(new): (old, extract_global_feature(old, TINY, store))}
-        feats = training._features_matrix([(new, 0)], TINY, store, cache)
-        want = extract_global_feature(new, TINY, store)
-        assert same_bytes(feats[0], want.astype(np.float32))
-        assert cache[id(new)][0] is new
-
     @pytest.mark.parametrize("count", [1, 32, 33, 67])
     def test_feature_chunks_equal_per_cloud_rows(self, count, monkeypatch):
         items, _ = tiny_dataset(per_class=(count + 1) // 2, seed=31)
-        items = items[:count]
+        clouds = [c for c, _ in items[:count]]
         store = init_pretrain_params(TINY, seed=2)
         rows = np.stack([extract_global_feature(c, TINY, store).astype(np.float32)
-                         for c, _ in items])
+                         for c in clouds])
         chunks = []
         real = training.extract_global_feature
 
-        def spy(clouds, *args):
-            chunks.append([id(c) for c in clouds])
-            return real(clouds, *args)
+        def spy(chunk, *args):
+            chunks.append([id(c) for c in chunk])
+            return real(chunk, *args)
 
         monkeypatch.setattr(training, "extract_global_feature", spy)
-        assert same_bytes(training._features_matrix(items, TINY, store, None), rows)
-        ids = [id(c) for c, _ in items]
+        assert same_bytes(training.extract_features(clouds, TINY, store), rows)
+        ids = [id(c) for c in clouds]
         assert chunks == [ids[lo:lo + 32] for lo in range(0, count, 32)]
-        if count < 33:
-            return
-        # cache hits between the misses, and a stale entry under a reused id
-        cache = {id(items[i][0]): (items[i][0], rows[i]) for i in range(0, count, 3)}
-        cache[ids[1]] = (items[0][0], rows[0])
-        chunks.clear()
-        assert same_bytes(training._features_matrix(items, TINY, store, cache), rows)
-        misses = [ids[i] for i in range(count) if i % 3]
-        assert chunks == [misses[lo:lo + 32] for lo in range(0, len(misses), 32)]
-        assert all(cache[id(c)][0] is c and same_bytes(cache[id(c)][1], rows[i])
-                   for i, (c, _) in enumerate(items))
 
     def test_linear_head_parameter_count(self):
         items, names = tiny_dataset(per_class=1)
@@ -653,6 +632,31 @@ class TestFewShot:
         with pytest.raises(ValueError, match="insufficient samples per class"):
             few_shot_episode(items, 2, 10, test_per_class=20, seed=0)
 
+    def test_local_scope_featurizes_the_union_once(self, monkeypatch):
+        # every drawn cloud once, in item order, one featurizer call per
+        # FEATURE_CHUNK of them
+        items = self._items()
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=0, augment=False)
+        position = {id(c): i for i, (c, _) in enumerate(items)}
+        drawn = set()
+        for ep in range(3):
+            episode = few_shot_episode(items, 2, 3, test_per_class=20, seed=cfg.seed + ep)
+            drawn |= {position[id(c)] for c, _ in episode.train + episode.test}
+        union = [id(items[i][0]) for i in sorted(drawn)]
+        assert len(union) > training.FEATURE_CHUNK
+        chunks = []
+        real = training.extract_global_feature
+
+        def spy(chunk, *args):
+            chunks.append([id(c) for c in chunk])
+            return real(chunk, *args)
+
+        monkeypatch.setattr(training, "extract_global_feature", spy)
+        run_few_shot(init_pretrain_params(TINY, seed=8), items, n_way=2, m_shot=3,
+                     train_cfg=cfg, model_cfg=TINY, episodes=3, test_per_class=20)
+        step = training.FEATURE_CHUNK
+        assert chunks == [union[lo:lo + step] for lo in range(0, len(union), step)]
+
     def test_protocol_report_shape(self):
         items = self._items()
         backbone = init_pretrain_params(TINY, seed=8)
@@ -692,6 +696,17 @@ class TestPinnedRuns:
         "local-nonlinear": "d94cc44a77a2a927a4c06095c53e52b952a070ad0f6775ed6d395100c88b1018",
         "global-linear": "91ff9acc4bab868f622e246b9b42f6b9921de14fc46583965474ddf3909fba00",
         "global-nonlinear": "6655472678e62ced329351ccdd566db667294b622a5c113b19b533a3fe70ac64",
+    }
+
+    # accuracies per episode, then mean and std, as float hex
+    FEW_SHOT = {
+        "local-linear": (["0x1.599999999999ap-1", "0x1.0000000000000p-2", "0x1.b333333333333p-2"],
+                         "0x1.ccccccccccccdp-2", "0x1.652dca8fabcccp-3"),
+        "local-nonlinear": (["0x1.7333333333333p-1", "0x1.999999999999ap-2",
+                             "0x1.0000000000000p-1"],
+                            "0x1.1555555555555p-1", "0x1.1659522622d37p-3"),
+        "global-linear": (["0x1.c000000000000p-1", "0x1.ccccccccccccdp-3", "0x1.599999999999ap-1"],
+                          "0x1.2eeeeeeeeeeefp-1", "0x1.1659522622d38p-2"),
     }
 
     def test_pretrain_loop(self, tmp_path):
@@ -735,6 +750,19 @@ class TestPinnedRuns:
         tuned, history = finetune(backbone, items, protocol, cfg, TINY)
         assert [e for e, _ in history] == [1, 2]
         assert run_digest(tuned, history) == self.FINETUNE[f"{scope}-{head}"]
+
+    @pytest.mark.parametrize("scope,head", [("local", "linear"), ("local", "nonlinear"),
+                                            ("global", "linear")])
+    def test_few_shot(self, scope, head):
+        items, _ = synth_shapes(["sphere", "cube", "cylinder", "torus", "cone"],
+                                per_class=31, n_points=TINY.n, seed=34)
+        cfg = TrainConfig(epochs=5, batch_size=16, seed=0, augment=False)
+        accs, mean, std = run_few_shot(init_pretrain_params(TINY, seed=8), items, n_way=2,
+                                       m_shot=3, train_cfg=cfg, model_cfg=TINY,
+                                       protocol_head=head, protocol_scope=scope,
+                                       episodes=3, test_per_class=20)
+        got = ([a.hex() for a in accs], mean.hex(), std.hex())
+        assert got == self.FEW_SHOT[f"{scope}-{head}"]
 
 
 def init_digest(store):
