@@ -284,7 +284,7 @@ class FewShotEpisode:
 
 
 def _episode_indices(labels: list[int], n_way: int, m_shot: int, test_per_class: int,
-                     seed) -> tuple[list[int], list[int], list[int]]:
+                     seed) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Sample n classes without replacement, then m train + ``test_per_class``
     test items per class, disjoint; deterministic per seed. Returns the train
     and test item indices, class by class in episode order, and the chosen
@@ -299,19 +299,14 @@ def _episode_indices(labels: list[int], n_way: int, m_shot: int, test_per_class:
     if len(eligible) < n_way:
         raise ValueError("insufficient samples per class")
     chosen = [int(c) for c in rng.choice(np.array(eligible), size=n_way, replace=False)]
-    train: list[int] = []
-    test: list[int] = []
-    for cls in chosen:
-        order = rng.permutation(by_class[cls])
-        train.extend(int(i) for i in order[:m_shot])
-        test.extend(int(i) for i in order[m_shot:m_shot + test_per_class])
-    return train, test, chosen
+    orders = [rng.permutation(by_class[cls]) for cls in chosen]
+    return (np.concatenate([order[:m_shot] for order in orders]),
+            np.concatenate([order[m_shot:m_shot + test_per_class] for order in orders]), chosen)
 
 
 def few_shot_episode(items: list[LabeledItem], n_way: int, m_shot: int,
                      test_per_class: int = 20, seed=0) -> FewShotEpisode:
-    """Sample n classes without replacement, then m train + ``test_per_class``
-    test objects per class, disjoint; deterministic per seed."""
+    """The episode ``_episode_indices`` draws, as (cloud, episode label) items."""
     train, test, chosen = _episode_indices([label for _, label in items], n_way, m_shot,
                                            test_per_class, seed)
     return FewShotEpisode([(items[i][0], j // m_shot) for j, i in enumerate(train)],
@@ -338,7 +333,7 @@ def run_few_shot(backbone: ParamStore, items: list[LabeledItem], n_way: int,
     test_labels = np.repeat(np.arange(n_way), test_per_class)
     local = protocol_scope == "local"
     if local:
-        union = np.unique(np.concatenate([idx for split in drawn for idx in split]))
+        union = np.unique(np.concatenate([split for splits in drawn for split in splits]))
         feats = extract_features([clouds[i] for i in union], model_cfg, backbone)
     accs = []
     for ep, (train, test) in enumerate(drawn):
