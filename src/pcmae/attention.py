@@ -76,12 +76,13 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 def multi_head_self_attention(x: Tensor, store: ParamStore, prefix: str,
                               heads: int) -> Tensor:
-    """Scaled dot-product attention over [m, d] tokens."""
+    """Scaled dot-product attention over [..., m, d] tokens; leading axes
+    (a chunk of clouds) attend separately."""
     d_head = x.shape[-1] // heads
     q = _split_heads(linear(x, store, f"{prefix}.q"), heads)
     k = _split_heads(linear(x, store, f"{prefix}.k"), heads)
     v = _split_heads(linear(x, store, f"{prefix}.v"), heads)
-    scores = T.matmul(q, k.transpose((0, 2, 1))) * (1.0 / math.sqrt(d_head))
+    scores = T.matmul(q, k, transpose_b=True) * (1.0 / math.sqrt(d_head))
     attn = T.softmax(scores, axis=-1)
     out = _merge_heads(T.matmul(attn, v))
     return affine(out, store, f"{prefix}.out")
@@ -96,7 +97,7 @@ def external_attention_weights(q_heads: Tensor, m_k: Tensor) -> Tensor:
     The token softmax is the only step that mixes tokens, and it stays within
     one cloud: leading axes are independent clouds that share the memories.
     """
-    raw = T.matmul(q_heads, m_k.transpose((0, 2, 1)))
+    raw = T.matmul(q_heads, m_k, transpose_b=True)
     attn = T.softmax(raw, axis=-2)
     return attn / attn.sum(axis=-1, keepdims=True)
 
@@ -172,23 +173,24 @@ def encoder_forward(tokens: Tensor, centers: np.ndarray, store: ParamStore,
 def decoder_forward(encoded: Tensor, centers_visible: np.ndarray,
                     centers_masked: np.ndarray, store: ParamStore,
                     cfg: ModelConfig) -> Tensor:
-    """Self-attention decoder: visible encodings + duplicated mask token in,
-    decoded tokens at the masked positions out."""
-    masked_count = int(np.asarray(centers_masked).shape[0])
+    """Self-attention decoder: visible encodings [..., v, d] + duplicated
+    mask token in, decoded tokens [..., m, d] at the masked positions out.
+    Leading axes hold independent clouds, as in ``encoder_forward``."""
+    centers_masked = np.asarray(centers_masked, dtype=np.float64)
+    masked_count = centers_masked.shape[-2]
     if masked_count == 0:
         raise ValueError("nothing to reconstruct")
-    n_vis = encoded.shape[0]
-    mask_tokens = T.broadcast_to(store["dec.mask_token"].reshape((1, cfg.d)),
-                                 (masked_count, cfg.d))
-    x = T.concat([encoded, mask_tokens], axis=0)
+    *lead, n_vis, _ = encoded.shape
+    mask_tokens = T.broadcast_to(store["dec.mask_token"], (*lead, masked_count, cfg.d))
+    x = T.concat([encoded, mask_tokens], axis=-2)
     all_centers = np.concatenate([np.asarray(centers_visible, dtype=np.float64),
-                                  np.asarray(centers_masked, dtype=np.float64)], axis=0)
+                                  centers_masked], axis=-2)
     pos = positional_embed(all_centers, store, "dec.pos")
     blocks = cfg.decoder_blocks()
     for i in range(blocks.depth):
         x = transformer_block_forward(x, pos, "self", store, f"dec.b{i:02d}", blocks)
     x = layer_norm(x, store, "dec.ln")
-    return x[n_vis:]
+    return x[..., n_vis:, :]
 
 
 # ---------------------------------------------------------------------------

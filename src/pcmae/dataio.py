@@ -60,6 +60,8 @@ def load_xyz(path, n: int | None = None, seed=0) -> PointCloud:
                 raise DataError(f"{path}: line {lineno}: non-finite value")
             points.append(values[:3])
             if len(parts) == 6:
+                if math.hypot(*values[3:]) == 0.0:
+                    raise DataError(f"{path}: line {lineno}: zero-length normal")
                 normals.append(values[3:])
     if not points:
         raise DataError(f"{path}: no points")

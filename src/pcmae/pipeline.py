@@ -4,6 +4,7 @@ feature extraction for downstream classifiers.
 """
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -30,12 +31,17 @@ class MaskLayout:
 
 @dataclass
 class ReconstructionTarget:
-    patches_gt: np.ndarray     # [masked_count, k, 3], centered frame
-    prediction: np.ndarray     # [masked_count, k, 3]
+    patches_gt: np.ndarray     # [..., masked_count, k, 3], centered frame
+    prediction: np.ndarray     # [..., masked_count, k, 3]
 
 
 @dataclass
 class PretrainOutput:
+    """One ``pretrain_forward`` call. For a chunk of B clouds every field
+    has a leading cloud axis: ``loss`` [B] holds each cloud's Chamfer loss,
+    the mask's index arrays are [B, m] and [B, v], and ``patches`` stacks
+    the B patch sets. A one-cloud call drops that axis."""
+
     loss: Tensor
     mask: MaskLayout
     prediction: ReconstructionTarget
@@ -59,10 +65,10 @@ def reconstruction_head_layout(cfg: ModelConfig) -> list:
 
 
 def reconstruction_head(t_d: Tensor, k: int, store: ParamStore) -> Tensor:
-    """Affine d -> 3k, reshaped to [masked_count, k, 3] centered coordinates."""
-    m_c = t_d.shape[0]
+    """Affine d -> 3k, reshaped to [..., masked_count, k, 3] centered
+    coordinates."""
     out = affine(t_d, store, "head")
-    return out.reshape((m_c, k, 3))
+    return out.reshape((*t_d.shape[:-1], k, 3))
 
 
 def pretrain_layout(cfg: ModelConfig) -> list:
@@ -112,23 +118,28 @@ def chamfer_l2(pred, gt) -> float:
 def chamfer_l2_t(pred: Tensor, gt: np.ndarray) -> Tensor:
     """Differentiable Chamfer loss of predicted patches against fixed targets.
 
-    pred: [B, Np, 3] tensor; gt: [B, Ng, 3] array. Ties in the NN search take
+    pred: [..., P, Np, 3] tensor; gt: [..., P, Ng, 3] array. The loss is the
+    mean over the P patches, one per leading index: a scalar for [P, Np, 3],
+    one loss per cloud for a chunk [B, P, Np, 3]. Ties in the NN search take
     the lowest index, matching the subgradient choice.
     """
     gt = np.ascontiguousarray(gt, dtype=pred.data.dtype)
-    b, n_p = pred.shape[0], pred.shape[1]
-    n_g = gt.shape[1]
-    min_a, arg_a, min_b, arg_b = kernels.chamfer_terms(pred.data, gt)
-    loss_val = (min_a.mean(axis=1) + min_b.mean(axis=1)).mean()
+    *lead, b, n_p, _ = pred.shape
+    n_g = gt.shape[-2]
+    flat_pred = pred.data.reshape(-1, n_p, 3)
+    flat_gt = gt.reshape(-1, n_g, 3)
+    min_a, arg_a, min_b, arg_b = kernels.chamfer_terms(flat_pred, flat_gt)
+    per_patch = (min_a.mean(axis=1) + min_b.mean(axis=1)).reshape(*lead, b)
+    loss_val = per_patch.mean(axis=-1)
 
     def bw(g_out):
-        scale = g_out if np.ndim(g_out) == 0 else g_out.reshape(())
-        grad = 2.0 * (pred.data - np.take_along_axis(gt, arg_a[:, :, None], axis=1))
+        grad = 2.0 * (flat_pred - np.take_along_axis(flat_gt, arg_a[:, :, None], axis=1))
         grad /= n_p
-        nearest_pred = np.take_along_axis(pred.data, arg_b[:, :, None], axis=1)
-        back = 2.0 * (nearest_pred - gt) / n_g
-        np.add.at(grad, (np.arange(b)[:, None], arg_b), back)
-        pred._accumulate(grad * (scale / b), fresh=True)
+        nearest_pred = np.take_along_axis(flat_pred, arg_b[:, :, None], axis=1)
+        back = 2.0 * (nearest_pred - flat_gt) / n_g
+        np.add.at(grad, (np.arange(len(grad))[:, None], arg_b), back)
+        scale = (np.asarray(g_out) / b).reshape(*lead, 1, 1, 1)
+        pred._accumulate(grad.reshape(pred.shape) * scale, fresh=True)
 
     return T._result(np.asarray(loss_val, dtype=pred.data.dtype), (pred,), bw)
 
@@ -160,26 +171,52 @@ def tokenize(cloud: PointCloud, cfg: ModelConfig, store: ParamStore, seed):
     return gate_forward(patches, descriptors, store, cfg), patches
 
 
-def pretrain_forward(cloud: PointCloud, cfg: ModelConfig, store: ParamStore,
-                     seed) -> PretrainOutput:
-    """Masked reconstruction pass: tokenize, mask, encode visible tokens,
-    decode masked positions, predict patches, score with Chamfer-L2."""
-    root = np.random.SeedSequence(seed)
-    fps_seed, mask_seed = root.spawn(2)
-    sequence, patches = tokenize(cloud, cfg, store, fps_seed)
-    layout = random_mask(cfg.g, cfg.r, mask_seed)
+def pretrain_forward(clouds: PointCloud | Sequence[PointCloud], cfg: ModelConfig,
+                     store: ParamStore, seed) -> PretrainOutput:
+    """Masked reconstruction pass over a chunk of clouds, one forward seed
+    per cloud (``seed`` is then a sequence); one cloud with one seed is the
+    B = 1 case, and its outputs drop the cloud axis.
 
-    visible_tokens = sequence.tokens[layout.visible_indices]
-    encoded = encoder_forward(visible_tokens, sequence.centers[layout.visible_indices],
-                              store, cfg)
-    decoded = decoder_forward(encoded, sequence.centers[layout.visible_indices],
-                              sequence.centers[layout.masked_indices], store, cfg)
-    pred = reconstruction_head(decoded, cfg.k, store)
-    gt = patches.neighborhoods[layout.masked_indices]
-    loss = chamfer_l2_t(pred, gt)
+    Per cloud the seed spawns an FPS seed and a mask seed: geometry front end
+    and a random mask. The B patch sets are stacked, and GATE, the encoder
+    on the visible tokens, the decoder at the masked positions, the head and
+    Chamfer-L2 each run once over the chunk, as one graph built in
+    ``T.per_cloud()`` mode. ``random_mask`` draws the same counts for every
+    cloud, so the chunk's tensors are [B, g, ...], [B, v, ...] and
+    [B, m, ...]. Every cloud's loss and prediction are the bytes of its own
+    call, and a backward adds each parameter's gradient cloud by cloud, as B
+    one-cloud backwards in order would."""
+    single = isinstance(clouds, PointCloud)
+    batch, seeds = ([clouds], [seed]) if single else (list(clouds), list(seed))
+    sets, descriptors, layouts = [], [], []
+    for cloud, cloud_seed in zip(batch, seeds):
+        fps_seed, mask_seed = np.random.SeedSequence(cloud_seed).spawn(2)
+        patches, desc = patch_descriptors(cloud, cfg, fps_seed)
+        sets.append(patches)
+        descriptors.append(desc)
+        layouts.append(random_mask(cfg.g, cfg.r, mask_seed))
+    patches = PatchSet(*(np.stack([getattr(p, f.name) for p in sets])
+                         for f in dataclasses.fields(PatchSet)))
+    visible = np.stack([layout.visible_indices for layout in layouts])
+    masked = np.stack([layout.masked_indices for layout in layouts])
+    rows = np.arange(len(batch))[:, None]
+    with T.per_cloud():
+        sequence = gate_forward(patches, np.stack(descriptors), store, cfg)
+        centers = sequence.centers
+        encoded = encoder_forward(sequence.tokens[rows, visible], centers[rows, visible],
+                                  store, cfg)
+        decoded = decoder_forward(encoded, centers[rows, visible], centers[rows, masked],
+                                  store, cfg)
+        pred = reconstruction_head(decoded, cfg.k, store)
+        gt = patches.neighborhoods[rows, masked]
+        loss = chamfer_l2_t(pred, gt)
     target = ReconstructionTarget(patches_gt=gt.astype(np.float64),
                                   prediction=pred.data.astype(np.float64))
-    return PretrainOutput(loss, layout, target, patches)
+    if single:
+        return PretrainOutput(loss.reshape(()), layouts[0],
+                              ReconstructionTarget(target.patches_gt[0], target.prediction[0]),
+                              sets[0])
+    return PretrainOutput(loss, MaskLayout(masked, visible, cfg.r), target, patches)
 
 
 def extract_global_feature(clouds: PointCloud | Sequence[PointCloud], cfg: ModelConfig,

@@ -24,8 +24,24 @@ gradient or a view of it (``add``, which hands one array to both parents,
 ``reshape``, ``transpose``, ``concat`` pieces, ``broadcast_to`` and the
 broadcast view of ``sum``) leave it at the default, and the first write stores
 a copy. So no two tensors ever share one gradient array.
+
+Per-cloud parameter gradients: pretraining builds one graph for a chunk of B
+clouds inside ``per_cloud()``. There every activation carries the clouds on
+axis 0, and an operand without that axis (a parameter) gets its gradient as
+a slab ``[B, *shape]``, one cloud's contribution per row: ``affine`` and
+``layer_norm`` compute weight, bias and gain gradients with one stacked
+``np.matmul`` or one row sum per cloud, and ``matmul`` and ``broadcast_to``
+keep the cloud axis of a parameter operand's gradient. ``_accumulate_slab``
+adds a slab into ``.grad`` one cloud at a time, so the sums are those of B
+one-cloud graphs backpropagated in order. A parameter that several nodes
+read (the saliency gate's shared MLPs) holds its slabs until the last one
+arrives and then adds them interleaved, cloud by cloud, in the order the
+backward reached them, which is the order of a one-cloud backward. Outside
+``per_cloud()`` the whole input counts as one cloud (B = 1).
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -78,6 +94,27 @@ def _consts(dtype) -> _Consts:
     return _CONSTS.get(dtype) or _Consts(dtype)
 
 
+_per_cloud = False
+
+
+@contextmanager
+def per_cloud():
+    """Ops built inside take axis 0 of their activations as B independent
+    clouds and hand each parameter a per-cloud gradient slab (see the module
+    docstring)."""
+    global _per_cloud
+    outer, _per_cloud = _per_cloud, True
+    try:
+        yield
+    finally:
+        _per_cloud = outer
+
+
+def _clouds(x: "Tensor") -> int:
+    """Clouds on axis 0 of activation ``x``: B inside ``per_cloud()``, else 1."""
+    return x.data.shape[0] if _per_cloud else 1
+
+
 def _consumed(g=None):
     """Stands in for the closure of an interior node whose backward has run."""
     raise RuntimeError("backward through a graph that was already backpropagated; "
@@ -98,7 +135,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_slabs")
 
     def __init__(self, data, requires_grad: bool = False):
         if not isinstance(data, np.ndarray):
@@ -110,6 +147,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._backward = None
+        self._slabs = None      # (readers, slabs so far) during a backward
 
     @property
     def shape(self):
@@ -133,11 +171,35 @@ class Tensor:
         else:
             self.grad += g
 
+    def _accumulate_slab(self, slab: np.ndarray) -> None:
+        """Add a per-cloud gradient slab ``[B, *shape]`` cloud by cloud. A
+        leaf that several nodes read waits for all their slabs, then adds
+        them interleaved (see the module docstring)."""
+        if not self.requires_grad:
+            return
+        if self._slabs is None:
+            self._add_slabs([slab])
+            return
+        readers, slabs = self._slabs
+        slabs.append(slab)
+        if len(slabs) == readers:
+            self._slabs = (readers, [])
+            self._add_slabs(slabs)
+
+    def _add_slabs(self, slabs: list) -> None:
+        clouds = slabs[0].shape[0]
+        for b in range(clouds):
+            for s in slabs:
+                # a one-cloud slab is fresh; a row of a larger one is kept
+                # only as a copy, which frees the rest of the slab
+                self._accumulate(s[b], fresh=clouds == 1)
+
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward requires a scalar output")
         topo: list[Tensor] = []
         seen: set[int] = set()
+        readers: dict[int, list] = {}       # leaf id -> [leaf, nodes reading it]
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, done = stack.pop()
@@ -151,20 +213,32 @@ class Tensor:
                 _consumed()         # before any gradient is touched
             stack.append((node, True))
             for p in node._parents:
+                if p._backward is None and p.requires_grad:
+                    readers.setdefault(id(p), [p, 0])[1] += 1
                 if id(p) not in seen:
                     stack.append((p, False))
+        shared = [(leaf, n) for leaf, n in readers.values() if n > 1]
+        for leaf, n in shared:
+            leaf._slabs = (n, [])
         self.grad = np.ones_like(self.data)
-        while topo:
-            node = topo.pop()
-            if node._backward is None:
-                continue            # a leaf: keeps its .grad
-            if node.grad is not None:
-                node._backward(node.grad)
-            # free the interior node's gradient, closure (and the buffers it
-            # holds) and parent links as soon as its last reader has run
-            node.grad = None
-            node._backward = _consumed
-            node._parents = ()
+        try:
+            while topo:
+                node = topo.pop()
+                if node._backward is None:
+                    continue            # a leaf: keeps its .grad
+                if node.grad is not None:
+                    node._backward(node.grad)
+                # free the interior node's gradient, closure (and the buffers
+                # it holds) and parent links as soon as its last reader has run
+                node.grad = None
+                node._backward = _consumed
+                node._parents = ()
+            for leaf, _ in shared:      # some readers handed plain gradients
+                if leaf._slabs[1]:
+                    leaf._add_slabs(leaf._slabs[1])
+        finally:
+            for leaf, _ in shared:
+                leaf._slabs = None
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -430,13 +504,24 @@ def gelu(a) -> Tensor:
 
 # --- linear algebra -------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, transpose_b: bool = False) -> Tensor:
+    """``a @ b``, or ``a @ swapaxes(b)`` with ``transpose_b``. Inside
+    ``per_cloud()`` a ``b`` without a's cloud axis (a parameter) gets its
+    gradient per cloud."""
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data @ b.data
+    b_op = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
+    data = a.data @ b_op
+    slab = _per_cloud and b.ndim < a.ndim
 
     def bw(g):
-        a._accumulate(g @ np.swapaxes(b.data, -1, -2), fresh=True)
-        b._accumulate(np.swapaxes(a.data, -1, -2) @ g, fresh=True)
+        a._accumulate(g @ np.swapaxes(b_op, -1, -2), fresh=True)
+        gb = np.swapaxes(a.data, -1, -2) @ g
+        if transpose_b:
+            gb = np.swapaxes(gb, -1, -2)
+        if slab:
+            b._accumulate_slab(gb)
+        else:
+            b._accumulate(gb, fresh=True)
 
     return _result(data, (a, b), bw)
 
@@ -448,24 +533,27 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 def affine(x, w, b) -> Tensor:
     """``x @ w + b`` for a 2-D weight ``w`` [c_in, c_out] and bias ``b``
-    [c_out] as one node. Both passes flatten x's leading axes, so the forward
-    is one 2-D GEMM plus an in-place bias add, and each gradient is one 2-D
-    GEMM (input, weight) or one row sum (bias). On every shape the model
-    runs, the output is bit-identical to the composite ``matmul`` + ``add``,
-    which uses numpy's batched matmul."""
+    [c_out] as one node. The forward flattens x's leading axes into one 2-D
+    GEMM plus an in-place bias add; on every shape the model runs, its rows
+    are bit-identical to the composite ``matmul`` + ``add`` and to each
+    cloud's own GEMM. The backward works per cloud (``_clouds``): one stacked
+    ``np.matmul`` for the input gradient and one for the weight slab, and one
+    row sum per cloud for the bias slab."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     data = _rows(x.data) @ w.data
     data = np.add(data, b.data, out=data if data.dtype == b.data.dtype else None)
     data = data.reshape(x.data.shape[:-1] + w.data.shape[-1:])
+    clouds = _clouds(x)
 
     def bw(g):
-        g2 = _rows(g)
+        g3 = g.reshape(clouds, -1, g.shape[-1])
         if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.data.shape), fresh=True)
+            x._accumulate(np.matmul(g3, w.data.T).reshape(x.data.shape), fresh=True)
         if w.requires_grad:
-            w._accumulate(_rows(x.data).T @ g2, fresh=True)
+            x3 = x.data.reshape(clouds, -1, x.data.shape[-1])
+            w._accumulate_slab(np.matmul(x3.transpose(0, 2, 1), g3))
         if b.requires_grad:
-            b._accumulate(g2.sum(axis=0), fresh=True)
+            b._accumulate_slab(g3.sum(axis=1))
 
     return _result(data, (x, w, b), bw)
 
@@ -477,7 +565,8 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     The forward repeats the composite expression's numpy ops in order
     (mean, centre, mean square, ``sqrt(var + eps)``, divide, scale, shift),
     so it is bit-identical to it; the backward is the closed form
-    ``(gx - mean(gx) - xhat * mean(gx * xhat)) / std`` with ``gx = g * gain``.
+    ``(gx - mean(gx) - xhat * mean(gx * xhat)) / std`` with ``gx = g * gain``,
+    and the gain and bias gradients are row sums per cloud (``_clouds``).
     """
     x, gain = as_tensor(x), as_tensor(gain)
     bias = None if bias is None else as_tensor(bias)
@@ -489,6 +578,7 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     data = normed * gain.data
     if bias is not None:
         data = data + bias.data
+    clouds = _clouds(x)
 
     def bw(g):
         if x.requires_grad:
@@ -498,9 +588,9 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
             dx /= std
             x._accumulate(dx, fresh=True)
         if gain.requires_grad:
-            gain._accumulate(_rows(g * normed).sum(axis=0), fresh=True)
+            gain._accumulate_slab((g * normed).reshape(clouds, -1, g.shape[-1]).sum(axis=1))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(_rows(g).sum(axis=0), fresh=True)
+            bias._accumulate_slab(g.reshape(clouds, -1, g.shape[-1]).sum(axis=1))
 
     return _result(data, (x, gain) if bias is None else (x, gain, bias), bw)
 
@@ -555,11 +645,18 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def broadcast_to(a, shape) -> Tensor:
+    """A copy of ``a`` broadcast to ``shape``. Inside ``per_cloud()`` an
+    ``a`` without the output's cloud axis (a parameter) gets its gradient
+    per cloud."""
     a = as_tensor(a)
     data = np.broadcast_to(a.data, shape).copy()
+    slab = _per_cloud and a.ndim < data.ndim
 
     def bw(g):
-        a._accumulate(g)
+        if slab:
+            a._accumulate_slab(np.stack([_unbroadcast(gc, a.data.shape) for gc in g]))
+        else:
+            a._accumulate(g)
 
     return _result(data, (a,), bw)
 
@@ -618,14 +715,20 @@ def sorted_mean(a, axis: int) -> Tensor:
 
 
 def reduce_max(a, axis=None, keepdims=False) -> Tensor:
-    """Max reduction; the gradient routes to the first (lowest-index) argmax."""
+    """Max reduction; the gradient routes to the first (lowest-index) argmax.
+
+    That index is found as ``np.argmax`` of "equals the max, or is NaN" (a
+    NaN slice's max is NaN, and ``np.argmax`` picks its first NaN): a
+    boolean argmax over a non-last axis walks strided memory at about half
+    the cost of a float one."""
     a = as_tensor(a)
     if axis is None or isinstance(axis, tuple):
         raise ValueError("reduce_max requires a single explicit axis")
-    data = a.data.max(axis=axis, keepdims=keepdims)
+    peak = a.data.max(axis=axis, keepdims=True)
+    data = peak if keepdims else np.squeeze(peak, axis)
     if not a.requires_grad:
         return Tensor(data)
-    arg = np.expand_dims(np.argmax(a.data, axis=axis), axis)
+    arg = np.argmax((a.data == peak) | (a.data != a.data), axis=axis, keepdims=True)
 
     def bw(g):
         g_exp = g if keepdims else np.expand_dims(g, axis)

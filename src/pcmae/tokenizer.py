@@ -17,7 +17,8 @@ from .tensor import ParamStore, Tensor
 
 @dataclass
 class SaliencyWeights:
-    """Sigmoid gates: channel [g,1,c_p] and spatial [g,k,1], entries in (0,1)."""
+    """Sigmoid gates: channel [..., g, 1, c_p] and spatial [..., g, k, 1],
+    entries in (0,1)."""
 
     channel: Tensor
     spatial: Tensor
@@ -25,10 +26,11 @@ class SaliencyWeights:
 
 @dataclass
 class TokenSequence:
-    """One latent token per patch plus the patch centers for positional use."""
+    """One latent token per patch plus the patch centers for positional use.
+    Leading axes, when present, hold a chunk of clouds."""
 
-    tokens: Tensor          # [g, d]
-    centers: np.ndarray     # [g, 3]
+    tokens: Tensor          # [..., g, d]
+    centers: np.ndarray     # [..., g, 3]
 
 
 def _patch_widths(cfg: ModelConfig):
@@ -59,14 +61,15 @@ def gate_layout(cfg: ModelConfig) -> list:
 
 
 def embed_patch_points(patches: Tensor | np.ndarray, store: ParamStore) -> Tensor:
-    """Shared per-point MLP over centered neighbourhoods [g,k,3] -> [g,k,c_p]."""
+    """Shared per-point MLP over centered neighbourhoods [..., g, k, 3] ->
+    [..., g, k, c_p]."""
     x = T.as_tensor(patches)
     return embed_mlp_apply(x, store, "gate.patch_embed")
 
 
 def embed_descriptor(descriptors: Tensor | np.ndarray, store: ParamStore,
                      cfg: ModelConfig) -> Tensor:
-    """Shared MLP over per-center descriptors [g, 3*bins] -> [g, c_d]."""
+    """Shared MLP over per-center descriptors [..., g, 3*bins] -> [..., g, c_d]."""
     x = T.as_tensor(descriptors)
     if x.shape[-1] != 3 * cfg.bins:
         raise ValueError(f"descriptor length must be {3 * cfg.bins}")
@@ -78,18 +81,19 @@ def adaptive_saliency(p_t: Tensor, store: ParamStore) -> tuple[SaliencyWeights, 
 
     The channel gate pools over the k point positions, the spatial gate over
     channels; each runs one shared MLP on both its avg- and max-pooled
-    statistics and sums the two branches before the sigmoid.
+    statistics and sums the two branches before the sigmoid. ``p_t`` is
+    [..., g, k, c_p]; every pool stays within one patch.
     """
-    g, k, c_p = p_t.shape
+    *lead, k, c_p = p_t.shape
 
     # sorted_mean keeps the pooled statistic bit-identical under point
     # permutations, which the token contract requires exactly
-    ca_avg = mlp_apply(T.sorted_mean(p_t, axis=1), store, "gate.ca")
-    ca_max = mlp_apply(p_t.max(axis=1), store, "gate.ca")
-    w_ca = T.sigmoid(ca_avg + ca_max).reshape((g, 1, c_p))
+    ca_avg = mlp_apply(T.sorted_mean(p_t, axis=-2), store, "gate.ca")
+    ca_max = mlp_apply(p_t.max(axis=-2), store, "gate.ca")
+    w_ca = T.sigmoid(ca_avg + ca_max).reshape((*lead, 1, c_p))
 
-    sa_avg = mlp_apply(p_t.mean(axis=2, keepdims=True), store, "gate.sa")
-    sa_max = mlp_apply(p_t.max(axis=2, keepdims=True), store, "gate.sa")
+    sa_avg = mlp_apply(p_t.mean(axis=-1, keepdims=True), store, "gate.sa")
+    sa_max = mlp_apply(p_t.max(axis=-1, keepdims=True), store, "gate.sa")
     w_sa = T.sigmoid(sa_avg + sa_max)
 
     salient = p_t * w_ca * w_sa
@@ -98,17 +102,18 @@ def adaptive_saliency(p_t: Tensor, store: ParamStore) -> tuple[SaliencyWeights, 
 
 def latent_tokens(p_t: Tensor, s_t: Tensor, d_t: Tensor, centers: np.ndarray,
                   store: ParamStore) -> TokenSequence:
-    """Fuse patch, salient and descriptor features into [g, d] tokens.
+    """Fuse patch, salient and descriptor features into [..., g, d] tokens.
 
     The per-center descriptor row is broadcast along the k axis before
     concatenation; a shared per-point MLP maps to width d and a max-pool over
     the k axis aggregates each patch.
     """
-    g, k, c_p = p_t.shape
-    d_rep = T.broadcast_to(d_t.reshape((g, 1, d_t.shape[-1])), (g, k, d_t.shape[-1]))
-    fused = T.concat([p_t, s_t, d_rep], axis=2)
+    *lead, k, _ = p_t.shape
+    c_d = d_t.shape[-1]
+    d_rep = T.broadcast_to(d_t.reshape((*lead, 1, c_d)), (*lead, k, c_d))
+    fused = T.concat([p_t, s_t, d_rep], axis=-1)
     fused = embed_mlp_apply(fused, store, "gate.fuse")
-    tokens = fused.max(axis=1)
+    tokens = fused.max(axis=-2)
     return TokenSequence(tokens, np.asarray(centers, dtype=np.float64))
 
 
@@ -133,7 +138,9 @@ def gate_macs(cfg: ModelConfig) -> int:
 
 def gate_forward(patches: PatchSet, descriptors: np.ndarray, store: ParamStore,
                  cfg: ModelConfig) -> TokenSequence:
-    """Full tokenizer: centered patches + descriptors -> latent token sequence."""
+    """Full tokenizer: centered patches + descriptors -> latent token sequence.
+    The patch arrays and descriptors may carry leading cloud axes
+    (neighborhoods [..., g, k, 3], descriptors [..., g, 3*bins])."""
     dtype = store["gate.fuse.l0.w"].data.dtype
     p_in = Tensor(np.ascontiguousarray(patches.neighborhoods, dtype=dtype))
     d_in = Tensor(np.ascontiguousarray(descriptors, dtype=dtype))

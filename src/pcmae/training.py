@@ -44,10 +44,10 @@ def _fit(store: ParamStore, n: int, train_cfg: TrainConfig, rng: np.random.Gener
     the store's gradients are dropped, so none outlives its step.
 
     ``batch_losses(batch)`` is a generator over a minibatch's item indices:
-    it yields each loss value as soon as it has it, then runs that loss's
-    backward. A non-finite loss raises before its backward, and a non-finite
-    gradient raises AdamW's DivergenceError; both messages name the epoch
-    and the step, counted from 1 over the whole run. Each epoch's mean loss
+    it yields one loss value per item as soon as it has them, then runs
+    their backward. A non-finite loss raises before that backward, and a
+    non-finite gradient raises AdamW's DivergenceError; both messages name
+    the epoch and the step, counted from 1 over the whole run. Each epoch's mean loss
     is appended to ``curve`` (the caller's list, so it holds the finished
     epochs when a step diverges) and logged; ``epoch_done(epoch)`` runs after
     that."""
@@ -79,10 +79,38 @@ def _fit(store: ParamStore, n: int, train_cfg: TrainConfig, rng: np.random.Gener
             epoch_done(epoch)
 
 
+# Patch points (g * k per cloud) per pretraining graph: ``pretrain_loop`` runs
+# a minibatch as chunks of ``pretrain_chunk(cfg)`` clouds, one
+# ``pretrain_forward`` and one backward each; the trained bytes do not depend
+# on it. A graph holds GATE's per-point activations until its backward, so its
+# memory grows with g * k. Measured with perfbench (2-vCPU Xeon, BLAS on one
+# thread, 10 s runs) at a fixed number of clouds per chunk B:
+# - pretrain-tiny (g * k = 256; batch 32), B = 1 / 2 / 4 / 8 / 16: 64-65 /
+#   83-87 / 100 / 107-114 / 118-119 train clouds/s at a peak resident set of
+#   62.0 / 63.1 / 68.9 / 81.0 / 104.9 MB (2.7 MB of graph per cloud);
+# - pretrain-paper (g * k = 2048; batch 4), B = 1 / 2 / 4: 3.0 / 3.6 / 3.9
+#   clouds/s at 695 / 754 / 831 MB.
+# The benchmark bounds the peak at +10%, so 512 points: 2 clouds at
+# pretrain-tiny's shape, 1 at the default config.
+PRETRAIN_CHUNK_POINTS = 512
+
+
+def pretrain_chunk(cfg: ModelConfig) -> int:
+    """Clouds per pretraining graph at ``cfg`` (see ``PRETRAIN_CHUNK_POINTS``)."""
+    return max(1, PRETRAIN_CHUNK_POINTS // (cfg.g * cfg.k))
+
+
 def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
                   model_cfg: ModelConfig, store: ParamStore | None = None,
                   out_dir=None, log=None) -> tuple[ParamStore, list[tuple[int, float]]]:
     """Masked-reconstruction pretraining over a list of clouds.
+
+    Each minibatch runs in chunks of ``pretrain_chunk(model_cfg)`` clouds: one
+    ``pretrain_forward`` graph and one backward per chunk, with every loss
+    weighted by 1 / batch size. Each cloud draws its augmentation seed and
+    then its forward seed from the run's generator, in minibatch order, and
+    the backward adds gradients cloud by cloud, so the trained bytes equal
+    those of one graph per cloud.
 
     Returns the trained store (without gradients) and the per-epoch mean loss
     curve. When ``out_dir`` is given, checkpoints are written at the
@@ -106,17 +134,20 @@ def pretrain_loop(clouds: list[PointCloud], train_cfg: TrainConfig,
             dataio.save_checkpoint(out_dir / f"checkpoint_{stem}.ckpt",
                                    store, model_cfg, train_cfg)
 
+    step = pretrain_chunk(model_cfg)
+
     def batch_losses(batch):
         inv = 1.0 / len(batch)
-        for idx in batch:
-            aug_seed = int(rng.integers(2**63))
-            fwd_seed = int(rng.integers(2**63))
-            cloud = clouds[int(idx)]
-            if train_cfg.augment:
-                cloud = augment(cloud, aug_seed)
-            out = pretrain_forward(cloud, model_cfg, store, fwd_seed)
-            yield float(out.loss.data)
-            (out.loss * inv).backward()
+        for lo in range(0, len(batch), step):
+            chunk, seeds = [], []
+            for idx in batch[lo:lo + step]:
+                aug_seed = int(rng.integers(2**63))
+                seeds.append(int(rng.integers(2**63)))
+                cloud = clouds[int(idx)]
+                chunk.append(augment(cloud, aug_seed) if train_cfg.augment else cloud)
+            out = pretrain_forward(chunk, model_cfg, store, seeds)
+            yield from out.loss.data.tolist()
+            (out.loss * inv).sum().backward()
 
     def epoch_done(epoch):
         if epoch in train_cfg.checkpoint_epochs or epoch == train_cfg.epochs:

@@ -18,6 +18,7 @@ from pcmae.geometry import (PointCloud, build_patches, estimate_normals, normali
 from pcmae.pipeline import extract_global_feature, init_pretrain_params
 
 from test_dataio import set_length, with_config_block
+from test_training import poison, poisoned_forward
 
 TINY_KEYS = dict(n=64, g=4, k=8, r=0.6, k_n=8, d=24, heads=2, mlp_ratio=2,
                  enc_depth=2, dec_depth=1, s_mem=8, c_p=16, c_d=16, embed_hidden=8)
@@ -329,6 +330,25 @@ class TestExitCodes:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_zero_length_normal_is_data_error(self, config_file, tmp_path):
+        # a 6-column row whose normal is (0, 0, 0) once trained and exited 0
+        items, names = synth_shapes(["sphere", "cube"], per_class=2, n_points=64, seed=3)
+        cloud, label = items[1]
+        normals = estimate_normals(cloud, TINY.k_n).normals.copy()
+        normals[5] = 0.0
+        items[1] = (PointCloud(cloud.points, normals), label)
+        root = tmp_path / "data"
+        save_dataset(root, "train", items, names)
+        out = subprocess.run([sys.executable, "-m", "pcmae.cli", "pretrain",
+                              "--dataset", str(root), "--config", str(config_file),
+                              "--epochs", "1", "--out", str(tmp_path / "o")],
+                             capture_output=True, text=True)
+        assert out.returncode == EXIT_DATA, out.stderr
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error: ")
+        assert lines[0].endswith(": line 6: zero-length normal")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path, config_file):
         rc = main(["pretrain", "--dataset", str(tmp_path / "ghost"),
                    "--config", str(config_file), "--epochs", "1",
@@ -415,18 +435,10 @@ class TestExitCodes:
 
     def test_divergence_is_numeric_error(self, dataset, config_file, tmp_path,
                                          monkeypatch, capsys):
-        # six clouds, batch 3: the seventh forward is epoch 2's first step,
+        # six clouds, batch 3: the seventh cloud is in epoch 2's first step,
         # the run's third
-        real, calls = training.pretrain_forward, []
-
-        def forward(*args):
-            out = real(*args)
-            calls.append(1)
-            if len(calls) == 7:
-                out.loss = out.loss * float("nan")
-            return out
-
-        monkeypatch.setattr(training, "pretrain_forward", forward)
+        monkeypatch.setattr(training, "pretrain_forward",
+                            poisoned_forward(7, lambda loss, nan, store: loss * nan))
         rc = main(["pretrain", "--dataset", str(dataset), "--config", str(config_file),
                    "--epochs", "2", "--batch-size", "3", "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
@@ -435,19 +447,11 @@ class TestExitCodes:
 
     def test_gradient_divergence_is_numeric_error(self, dataset, config_file, tmp_path,
                                                   monkeypatch, capsys):
-        # six clouds, batch 3: at the seventh forward (epoch 2, step 3) the
-        # loss stays finite and the first parameter's gradient turns NaN
-        real, calls = training.pretrain_forward, []
-
-        def forward(cloud, cfg, store, seed):
-            out = real(cloud, cfg, store, seed)
-            calls.append(1)
-            if len(calls) == 7:
-                first = store[store.trainable_names()[0]]
-                out.loss = out.loss + T.sqrt(first * 0.0).sum()
-            return out
-
-        monkeypatch.setattr(training, "pretrain_forward", forward)
+        # six clouds, batch 3: in the chunk of the seventh cloud (epoch 2,
+        # step 3) the losses stay finite and the first parameter's gradient
+        # turns NaN
+        monkeypatch.setattr(training, "pretrain_forward", poisoned_forward(
+            7, lambda loss, nan, store: loss + poison(store[store.trainable_names()[0]])))
         with pytest.warns(RuntimeWarning):
             rc = main(["pretrain", "--dataset", str(dataset), "--config", str(config_file),
                        "--epochs", "2", "--batch-size", "3", "--out", str(tmp_path / "o")])

@@ -35,6 +35,16 @@ class TestXyz:
         cloud = load_xyz(path)
         np.testing.assert_array_equal(cloud.normals, [[0, 0, 1], [1, 0, 0]])
 
+    def test_zero_length_normal_names_line_number(self, tmp_path):
+        # carried normals feed every forward; (0, 0, 0) has no direction. A
+        # tiny but nonzero normal is kept (its length does not underflow).
+        path = tmp_path / "a.xyz"
+        path.write_text("0 0 0 0 0 1\n1 0 0 -0 0 0\n")
+        with pytest.raises(DataError, match=r"line 2: zero-length normal$"):
+            load_xyz(path)
+        path.write_text("0 0 0 0 0 1\n1 0 0 1e-300 0 0\n")
+        assert load_xyz(path).normals[1, 0] == 1e-300
+
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.xyz"
         path.write_text("a b c\n")

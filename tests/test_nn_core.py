@@ -184,6 +184,47 @@ class TestFusedOps:
         np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
 
 
+class TestPerCloud:
+    """A graph built in ``T.per_cloud()`` over B clouds leaves every
+    parameter the gradient of B one-cloud graphs backpropagated in order."""
+
+    @staticmethod
+    def _params(seed):
+        rng = np.random.default_rng(seed)
+        return {name: Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+                for name, shape in (("w", (5, 4)), ("b", (4,)), ("g", (4,)),
+                                    ("m", (3, 4)), ("tok", (4,)))}
+
+    @staticmethod
+    def _losses(x, p, extra_reader):
+        # w, b and m are each read twice per cloud; tok through broadcast_to
+        lead = x.shape[:-2]
+        h = T.gelu(T.affine(x, p["w"], p["b"]))
+        h = h + T.affine(x * 0.5, p["w"], p["b"])
+        h = T.layer_norm(h, p["g"], p["b"], 1e-5)
+        h = T.concat([h, T.broadcast_to(p["tok"], (*lead, 2, 4))], axis=-2)
+        h = T.matmul(T.matmul(h, p["m"], transpose_b=True), p["m"])
+        loss = (h * h).sum(axis=(-2, -1))
+        if extra_reader:        # a plain (non-slab) reader of a shared leaf
+            loss = loss + (p["w"] * 0.0).sum()
+        return loss
+
+    @pytest.mark.parametrize("extra_reader", [False, True])
+    def test_chunk_gradients_equal_one_cloud_graphs(self, extra_reader):
+        x = np.random.default_rng(16).normal(size=(4, 6, 5)).astype(np.float32)
+        chunk = self._params(17)
+        with T.per_cloud():
+            losses = self._losses(Tensor(x), chunk, extra_reader)
+        assert losses.shape == (4,)
+        (losses * 0.25).sum().backward()
+        ones = self._params(17)
+        for cloud in x:
+            (self._losses(Tensor(cloud), ones, extra_reader) * 0.25).backward()
+        for name in chunk:
+            assert chunk[name].grad.tobytes() == ones[name].grad.tobytes(), name
+            assert chunk[name]._slabs is None
+
+
 class TestTapeHygiene:
     """A graph is freed as its backward runs: only leaves keep ``.grad``."""
 
@@ -258,6 +299,33 @@ class TestPooling:
         err = finite_difference_check(
             lambda t: (t.max(axis=1) * Tensor(np.arange(4.0))).sum(), x)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("shape, axis", [((6, 5, 7), 0), ((6, 5, 7), 1), ((6, 5, 7), -1),
+                                             ((3, 4, 8, 5), 2), ((9,), 0)])
+    def test_max_gradient_routes_to_np_argmax(self, shape, axis):
+        # reduce_max finds the first index equal to the max; that must be
+        # np.argmax's index on ties, on NaN slices (np.argmax takes their first
+        # NaN, where the max is NaN) and on slices holding +-inf
+        rng = np.random.default_rng(15)
+        x = rng.integers(0, 3, size=shape).astype(np.float32)     # many ties
+        flat = x.reshape(-1)
+        flat[rng.choice(flat.size, size=max(1, flat.size // 7), replace=False)] = np.nan
+        flat[rng.choice(flat.size, size=max(1, flat.size // 11), replace=False)] = np.inf
+        flat[rng.choice(flat.size, size=max(1, flat.size // 11), replace=False)] = -np.inf
+        t = Tensor(x, requires_grad=True)
+        out = T.reduce_max(t, axis)
+        assert out.data.tobytes() == x.max(axis=axis).tobytes()
+        out.sum().backward()
+        want = np.zeros_like(x)
+        np.put_along_axis(want, np.expand_dims(np.argmax(x, axis=axis), axis), 1.0, axis)
+        assert t.grad.tobytes() == want.tobytes()
+
+    def test_max_gradient_on_all_nan_and_all_tied_slices(self):
+        x = np.array([[np.nan, np.nan, np.nan], [2.0, 2.0, 2.0], [1.0, np.nan, 5.0],
+                      [-np.inf, -np.inf, -np.inf]], dtype=np.float32)
+        t = Tensor(x, requires_grad=True)
+        T.reduce_max(t, 1).sum().backward()
+        np.testing.assert_array_equal(t.grad, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]])
 
     def test_empty_axis_rejected(self):
         for requires_grad in (False, True):

@@ -408,3 +408,69 @@ class TestPinnedBytes:
         grads = [t.grad for _, t in store.items()]
         assert all(g is not None for g in grads)
         assert _sha256(grads) == self.GRADIENTS[name]
+
+
+def _grad_digest(store) -> str:
+    h = hashlib.sha256()
+    for name, t in store.items():
+        h.update(name.encode())
+        h.update(t.grad.tobytes())
+    return h.hexdigest()
+
+
+class TestPretrainChunk:
+    """One ``pretrain_forward`` over a chunk of clouds against one call per
+    cloud. Losses and the accumulated gradients, pinned by SHA-256, were
+    recorded from the one-graph-per-cloud loop before pretraining built one
+    graph per chunk."""
+
+    LOSSES = {
+        "tiny": ["0x1.359de40000000p-4", "0x1.d901180000000p-4", "0x1.f830b80000000p-4",
+                 "0x1.6856780000000p-4"],
+        "default": ["0x1.8d86500000000p-3", "0x1.7be2860000000p-3", "0x1.9000320000000p-3",
+                    "0x1.95c8aa0000000p-3"],
+    }
+    GRADIENTS = {
+        "tiny": "6ca95c70ad78cbe782b3ad8756b9976efe4d152de1fe4a0cd59c537b4c56cf62",
+        "default": "1c094c5ac12eba9b46cc337353c42f4a5582568bad4b2c6869f481412136ce3d",
+    }
+
+    @pytest.mark.parametrize("name", ["tiny", "default"])
+    def test_chunk_equals_one_cloud_calls_in_order(self, name):
+        # as pretrain_loop weights a minibatch of four: each loss times 1/4
+        cfg = TINY if name == "tiny" else ModelConfig()
+        items, _ = synth_shapes(["sphere", "cube", "torus", "cylinder"], per_class=1,
+                                n_points=cfg.n, seed=41)
+        clouds = [c for c, _ in items]
+        seeds = [100 + i for i in range(len(clouds))]
+        store = init_pretrain_params(cfg, seed=0)
+        out = pretrain_forward(clouds, cfg, store, seeds)
+        assert out.loss.shape == (len(clouds),)
+        chunk_losses = [v.hex() for v in out.loss.data.tolist()]
+        (out.loss * (1.0 / len(clouds))).sum().backward()
+        chunk_grads = {n: t.grad for n, t in store.items()}
+        assert _grad_digest(store) == self.GRADIENTS[name]
+        store.zero_grads()
+        one_losses = []
+        for cloud, seed in zip(clouds, seeds):
+            one = pretrain_forward(cloud, cfg, store, seed)
+            assert one.loss.shape == ()
+            one_losses.append(float(one.loss.data).hex())
+            (one.loss * (1.0 / len(clouds))).backward()
+        assert chunk_losses == one_losses == self.LOSSES[name]
+        for n, t in store.items():
+            assert t.grad.tobytes() == chunk_grads[n].tobytes(), n
+
+    def test_chunk_outputs_are_the_one_cloud_outputs(self):
+        items, _ = synth_shapes(["sphere", "cube", "torus"], per_class=1,
+                                n_points=TINY.n, seed=42)
+        clouds = [c for c, _ in items]
+        store = init_pretrain_params(TINY, seed=1)
+        chunk = pretrain_forward(clouds, TINY, store, [7, 8, 9])
+        for b, (cloud, seed) in enumerate(zip(clouds, [7, 8, 9])):
+            one = pretrain_forward(cloud, TINY, store, seed)
+            assert np.array_equal(chunk.mask.masked_indices[b], one.mask.masked_indices)
+            assert np.array_equal(chunk.mask.visible_indices[b], one.mask.visible_indices)
+            assert chunk.prediction.prediction[b].tobytes() == one.prediction.prediction.tobytes()
+            assert chunk.prediction.patches_gt[b].tobytes() == one.prediction.patches_gt.tobytes()
+            assert chunk.patches.neighborhoods[b].tobytes() == one.patches.neighborhoods.tobytes()

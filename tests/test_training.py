@@ -331,6 +331,11 @@ class TestAugment:
         assert np.array_equal(out.normals, normals)
 
 
+# perfbench's pretrain-tiny model (the acceptance suite's configuration)
+BENCH_TINY = ModelConfig(n=256, g=16, k=16, r=0.6, k_n=16, d=96, heads=6, mlp_ratio=4,
+                         enc_depth=4, dec_depth=2, s_mem=16, c_p=96, c_d=96, embed_hidden=96)
+
+
 def tiny_dataset(per_class=2, seed=30):
     items, names = synth_shapes(["sphere", "cube"], per_class=per_class,
                                 n_points=TINY.n, seed=seed)
@@ -380,19 +385,11 @@ class TestPretrainLoop:
         assert all(t.grad is None for _, t in store.items())
 
     def test_divergence_names_epoch_and_step(self, monkeypatch):
-        # two clouds, batch 1: the third forward is epoch 2's first step,
-        # the run's third
+        # two clouds, batch 1: the third cloud is epoch 2's first step, the
+        # run's third
         clouds = [c for c, _ in tiny_dataset(per_class=1)[0]]
-        real, calls = training.pretrain_forward, []
-
-        def forward(*args):
-            out = real(*args)
-            calls.append(1)
-            if len(calls) == 3:
-                out.loss = out.loss * float("nan")
-            return out
-
-        monkeypatch.setattr(training, "pretrain_forward", forward)
+        monkeypatch.setattr(training, "pretrain_forward",
+                            poisoned_forward(3, lambda loss, nan, store: loss * nan))
         with pytest.raises(DivergenceError,
                            match=r"^divergence: non-finite loss at epoch 2, step 3$"):
             pretrain_loop(clouds, TrainConfig(epochs=2, batch_size=1, seed=0), TINY)
@@ -402,21 +399,33 @@ class TestPretrainLoop:
         # a finite loss whose backward leaves NaN in the first parameter's
         # gradient at the run's third step
         clouds = [c for c, _ in tiny_dataset(per_class=1)[0]]
-        real, calls = training.pretrain_forward, []
-
-        def forward(cloud, cfg, store, seed):
-            out = real(cloud, cfg, store, seed)
-            calls.append(1)
-            if len(calls) == 3:
-                out.loss = out.loss + poison(store[store.trainable_names()[0]])
-            return out
-
-        monkeypatch.setattr(training, "pretrain_forward", forward)
+        monkeypatch.setattr(training, "pretrain_forward", poisoned_forward(
+            3, lambda loss, nan, store: loss + poison(store[store.trainable_names()[0]])))
         first = init_pretrain_params(TINY, seed=0).trainable_names()[0]
         with (pytest.warns(RuntimeWarning),
               pytest.raises(DivergenceError, match=rf"^divergence: non-finite gradient in "
                                                    rf"{first} at epoch 2, step 3$")):
             pretrain_loop(clouds, TrainConfig(epochs=2, batch_size=1, seed=0), TINY)
+
+
+def poisoned_forward(nth: int, spoil):
+    """``training.pretrain_forward`` with the chunk that holds the run's
+    ``nth`` cloud (counted from 1) spoiled: its per-cloud losses become
+    ``spoil(loss, nan, store)``, where ``nan`` is NaN at that cloud and 1
+    elsewhere."""
+    real, seen = training.pretrain_forward, []
+
+    def forward(clouds, cfg, store, seeds):
+        out = real(clouds, cfg, store, seeds)
+        first = len(seen)
+        seen.extend(clouds)
+        if first < nth <= len(seen):
+            nan = np.ones(len(clouds), dtype=out.loss.data.dtype)
+            nan[nth - 1 - first] = np.nan
+            out.loss = spoil(out.loss, T.Tensor(nan), store)
+        return out
+
+    return forward
 
 
 def poison(param):
@@ -686,6 +695,7 @@ class TestPinnedRuns:
     the generator's draw order or any byte they produce."""
 
     PRETRAIN = "af6eb3e350ca47d5304c2e7284f4a7b185554c560d47f313d7c5bf685b6cf1aa"
+    CHUNKED = "5f3b747b14b977bcdb9e090f414d276233e22067186357c21f24b3543d4ca67e"
     PRETRAIN_FILES = {"checkpoint_epoch0002.ckpt": "4ab81083ac08fa5d",
                       "checkpoint_epoch0003.ckpt": "fc3afc68f3786561",
                       "loss_curve.csv": "f764454c1cfbe0c4"}
@@ -720,21 +730,24 @@ class TestPinnedRuns:
         assert run_digest(store, curve) == self.PRETRAIN
         assert file_digests(tmp_path) == self.PRETRAIN_FILES
 
+    def test_pretrain_loop_in_chunks(self):
+        # perfbench's pretrain-tiny model; each epoch's first batch of 9 spans
+        # four full pretraining chunks and a partial one
+        chunk = training.pretrain_chunk(BENCH_TINY)
+        assert 2 * chunk < 9 and 9 % chunk
+        items, _ = synth_shapes(["sphere", "cube"], per_class=6, n_points=BENCH_TINY.n,
+                                seed=30)
+        cfg = TrainConfig(lr_max=5e-4, epochs=2, batch_size=9, seed=5, checkpoint_epochs=())
+        store, curve = pretrain_loop([c for c, _ in items][:11], cfg, BENCH_TINY)
+        assert run_digest(store, curve) == self.CHUNKED
+
     def test_pretrain_loop_diverged_in_epoch_2(self, tmp_path, monkeypatch):
         # no checkpoint epoch was reached, so the weights as they stand
         # (after epoch 1's one step) are saved as the diverged checkpoint,
-        # next to epoch 1's loss row
+        # next to epoch 1's loss row; the third cloud's loss turns NaN
         clouds = [c for c, _ in tiny_dataset(per_class=1)[0]]
-        real, calls = training.pretrain_forward, []
-
-        def forward(*args):
-            out = real(*args)
-            calls.append(1)
-            if len(calls) == 3:
-                out.loss = out.loss * float("nan")
-            return out
-
-        monkeypatch.setattr(training, "pretrain_forward", forward)
+        monkeypatch.setattr(training, "pretrain_forward",
+                            poisoned_forward(3, lambda loss, nan, store: loss * nan))
         with pytest.raises(DivergenceError, match=r"at epoch 2, step 2$"):
             pretrain_loop(clouds, TrainConfig(epochs=2, batch_size=2, seed=3), TINY,
                           out_dir=tmp_path)
@@ -827,16 +840,23 @@ class TestBenchHooks:
             assert callable(getattr(owner, attr, None)), layer
 
     def test_every_hook_sees_calls(self, bench_layers, monkeypatch, tmp_path):
+        # each call also runs the layer's count function on the call's
+        # arguments and result, as the traced run does, so a call shape the
+        # count does not fit fails here instead of crashing a traced run
         calls = {layer: 0 for layer, _, _, _ in bench_layers}
 
-        def counted(layer, fn):
+        def counted(layer, fn, count):
             def wrapper(*args, **kwargs):
                 calls[layer] += 1
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                if count is not None:
+                    value = count.fn(args, kwargs, out)
+                    assert np.isfinite(value) and value >= 0, (layer, value)
+                return out
             return wrapper
 
-        for layer, owner, attr, _ in bench_layers:
-            monkeypatch.setattr(owner, attr, counted(layer, getattr(owner, attr)))
+        for layer, owner, attr, count in bench_layers:
+            monkeypatch.setattr(owner, attr, counted(layer, getattr(owner, attr), count))
         items = tiny_dataset(per_class=1)[0]
         backbone, _ = pretrain_loop([c for c, _ in items],
                                     TrainConfig(epochs=1, batch_size=2, seed=0), TINY,
