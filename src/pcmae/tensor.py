@@ -178,7 +178,11 @@ class Tensor:
         if not self.requires_grad:
             return
         if self._slabs is None:
-            self._add_slabs([slab])
+            # a one-cloud slab is fresh; a row of a larger one is kept only
+            # as a copy, which frees the rest of the slab
+            clouds = len(slab)
+            for b in range(clouds):
+                self._accumulate(slab[b], fresh=clouds == 1)
             return
         readers, slabs = self._slabs
         slabs.append(slab)
@@ -187,19 +191,17 @@ class Tensor:
             self._add_slabs(slabs)
 
     def _add_slabs(self, slabs: list) -> None:
-        clouds = slabs[0].shape[0]
-        for b in range(clouds):
+        for b in range(len(slabs[0])):
             for s in slabs:
-                # a one-cloud slab is fresh; a row of a larger one is kept
-                # only as a copy, which frees the rest of the slab
-                self._accumulate(s[b], fresh=clouds == 1)
+                self._accumulate(s[b])
 
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward requires a scalar output")
         topo: list[Tensor] = []
         seen: set[int] = set()
-        readers: dict[int, list] = {}       # leaf id -> [leaf, nodes reading it]
+        readers: dict[int, int] = {}        # leaf id -> nodes reading it
+        shared: list[Tensor] = []           # leaves that several nodes read
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, done = stack.pop()
@@ -214,12 +216,13 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 if p._backward is None and p.requires_grad:
-                    readers.setdefault(id(p), [p, 0])[1] += 1
+                    n = readers[id(p)] = readers.get(id(p), 0) + 1
+                    if n == 2:
+                        shared.append(p)
                 if id(p) not in seen:
                     stack.append((p, False))
-        shared = [(leaf, n) for leaf, n in readers.values() if n > 1]
-        for leaf, n in shared:
-            leaf._slabs = (n, [])
+        for leaf in shared:
+            leaf._slabs = (readers[id(leaf)], [])
         self.grad = np.ones_like(self.data)
         try:
             while topo:
@@ -233,11 +236,11 @@ class Tensor:
                 node.grad = None
                 node._backward = _consumed
                 node._parents = ()
-            for leaf, _ in shared:      # some readers handed plain gradients
+            for leaf in shared:         # some readers handed plain gradients
                 if leaf._slabs[1]:
                     leaf._add_slabs(leaf._slabs[1])
         finally:
-            for leaf, _ in shared:
+            for leaf in shared:
                 leaf._slabs = None
 
     def zero_grad(self) -> None:
