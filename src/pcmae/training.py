@@ -240,12 +240,8 @@ def _fit_head(backbone: ParamStore, inputs, labels: np.ndarray, protocol: Finetu
             store.freeze_prefix(prefix)
 
     def batch_losses(batch):
-        if local:
-            feats = Tensor(inputs[batch])
-        else:
-            feats = T.concat([extract_global_feature_t(inputs[int(idx)], model_cfg,
-                                                       store).reshape((1, -1))
-                              for idx in batch], axis=0)
+        feats = (Tensor(inputs[batch]) if local
+                 else extract_global_feature_t([inputs[i] for i in batch], model_cfg, store))
         logits = classifier_forward(feats, store, protocol, training=True, rng=rng)
         loss = cross_entropy(logits, labels[batch], protocol.num_classes,
                              train_cfg.label_smoothing)

@@ -15,7 +15,7 @@ from pcmae.pipeline import (chamfer_l2, chamfer_l2_t, extract_global_feature,
                             extract_global_feature_t, init_pretrain_params,
                             prepare_cloud, pretrain_forward, random_mask,
                             reconstruction_dump, reconstruction_head,
-                            reconstruction_head_layout, tokenize)
+                            reconstruction_head_layout, stack_geometry)
 from pcmae.selfcheck import TINY, chamfer_oracle, randomize_params
 from pcmae import tensor as T
 from pcmae.tensor import ParamStore, Tensor
@@ -320,19 +320,21 @@ class TestGlobalFeature:
 
     def test_token_permutation_leaves_feature_unchanged(self):
         from pcmae.attention import encoder_forward
+        from pcmae.tokenizer import gate_forward
 
         store = init_pretrain_params(TINY, seed=7, dtype=np.float64)
         randomize_params(store, 21)
         cloud = random_cloud(22)
-        seq, _ = tokenize(cloud, TINY, store, seed=0)
+        patches, descriptors = stack_geometry([cloud], TINY, [0])
+        seq = gate_forward(patches, descriptors, store, TINY)
         enc = encoder_forward(seq.tokens, seq.centers, store, TINY)
-        base = np.concatenate([enc.data.max(axis=0), enc.data.mean(axis=0)])
+        base = np.concatenate([enc.data.max(axis=-2), enc.data.mean(axis=-2)], axis=-1)
         rng = np.random.default_rng(23)
         for _ in range(10):
             perm = rng.permutation(TINY.g)
-            enc_p = encoder_forward(Tensor(seq.tokens.data[perm]), seq.centers[perm],
+            enc_p = encoder_forward(Tensor(seq.tokens.data[:, perm]), seq.centers[:, perm],
                                     store, TINY)
-            got = np.concatenate([enc_p.data.max(axis=0), enc_p.data.mean(axis=0)])
+            got = np.concatenate([enc_p.data.max(axis=-2), enc_p.data.mean(axis=-2)], axis=-1)
             assert np.abs(got - base).max() < 1e-5
 
 
