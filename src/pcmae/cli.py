@@ -30,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def count(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flat key-value schema)")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -118,10 +126,10 @@ def build_parser() -> _Parser:
     _add_config_args(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True, help="pretraining checkpoint")
-    p.add_argument("--n", type=int, required=True, help="classes per episode")
-    p.add_argument("--m", type=int, required=True, help="shots per class")
-    p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--test-per-class", dest="test_per_class", type=int, default=20)
+    p.add_argument("--n", type=count, required=True, help="classes per episode")
+    p.add_argument("--m", type=count, required=True, help="shots per class")
+    p.add_argument("--episodes", type=count, default=10)
+    p.add_argument("--test-per-class", dest="test_per_class", type=count, default=20)
     p.add_argument("--scope", choices=("global", "local"), default="local")
     p.add_argument("--head", choices=("linear", "nonlinear"), default="linear")
     p.add_argument("--split", default="train")

@@ -38,12 +38,19 @@ class ModelConfig:
     embed_hidden: int = 128        # hidden width of the embedding MLPs
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if type(f.default) is int and getattr(self, f.name) < 1:
+                raise SchemaError(f"{f.name} must be >= 1")
+        if self.k_n < 3:
+            raise SchemaError("k_n must be >= 3")
+        if max(self.g, self.k) > self.n:
+            raise SchemaError("g and k must not exceed n")
         if self.d % self.heads != 0:
             raise SchemaError("d must be divisible by heads")
-        if self.mlp_ratio < 1:
-            raise SchemaError("mlp_ratio must be >= 1")
         if not (0.0 < self.r < 1.0):
             raise SchemaError("r must lie strictly between 0 and 1")
+        if int(self.r * self.g) < 1:
+            raise SchemaError("r * g must mask at least one patch")
         if self.pair_feature_variant not in ("standard", "paper-literal"):
             raise SchemaError("pair_feature_variant must be 'standard' or 'paper-literal'")
 

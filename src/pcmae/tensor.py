@@ -25,19 +25,22 @@ gradient or a view of it (``add``, which hands one array to both parents,
 broadcast view of ``sum``) leave it at the default, and the first write stores
 a copy. So no two tensors ever share one gradient array.
 
-Per-cloud parameter gradients: pretraining builds one graph for a chunk of B
-clouds inside ``per_cloud()``. There every activation carries the clouds on
-axis 0, and an operand without that axis (a parameter) gets its gradient as
-a slab ``[B, *shape]``, one cloud's contribution per row: ``affine`` and
-``layer_norm`` compute weight, bias and gain gradients with one stacked
-``np.matmul`` or one row sum per cloud, and ``matmul`` and ``broadcast_to``
-keep the cloud axis of a parameter operand's gradient. ``_accumulate_slab``
-adds a slab into ``.grad`` one cloud at a time, so the sums are those of B
-one-cloud graphs backpropagated in order. A parameter that several nodes
-read (the saliency gate's shared MLPs) holds its slabs until the last one
-arrives and then adds them interleaved, cloud by cloud, in the order the
-backward reached them, which is the order of a one-cloud backward. Outside
-``per_cloud()`` the whole input counts as one cloud (B = 1).
+Per-cloud parameter gradients: pretraining and global fine-tuning each build
+one graph for a chunk of B clouds inside ``per_cloud()``. There every
+activation carries the clouds on axis 0, and an operand without that axis (a
+parameter) gets its gradient as a slab ``[B, *shape]``, one cloud's
+contribution per row: ``affine`` and ``layer_norm`` compute weight, bias and
+gain gradients with one stacked ``np.matmul`` or one row sum per cloud, and
+``matmul`` and ``broadcast_to`` keep the cloud axis of a parameter operand's
+gradient. ``_accumulate_slab`` adds a slab into ``.grad`` one cloud at a
+time, so the sums are those of B one-cloud graphs backpropagated in order. A
+parameter that several nodes read (the saliency gate's shared MLPs, and in
+global fine-tuning every GATE parameter, which runs once per cloud) holds
+its slabs until the last one arrives and then adds them interleaved, cloud
+by cloud, in the order the backward reached them, which is the order of
+one-cloud backwards. Outside ``per_cloud()`` the whole input counts as one
+cloud (B = 1); the classifier head is built there, so its [B, 2d] rows keep
+one weight GEMM.
 """
 from __future__ import annotations
 
@@ -648,11 +651,12 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def broadcast_to(a, shape) -> Tensor:
-    """A copy of ``a`` broadcast to ``shape``. Inside ``per_cloud()`` an
-    ``a`` without the output's cloud axis (a parameter) gets its gradient
-    per cloud."""
+    """``a`` broadcast to ``shape``, as numpy's read-only view (the callers
+    feed it to ``concat``, which copies). Inside ``per_cloud()`` an ``a``
+    without the output's cloud axis (a parameter) gets its gradient per
+    cloud."""
     a = as_tensor(a)
-    data = np.broadcast_to(a.data, shape).copy()
+    data = np.broadcast_to(a.data, shape)
     slab = _per_cloud and a.ndim < data.ndim
 
     def bw(g):

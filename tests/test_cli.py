@@ -330,6 +330,30 @@ class TestExitCodes:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        *((key, value) for key, default in TINY_KEYS.items() if type(default) is int
+          for value in (0, -1)),
+        ("k_n", 2), ("g", 65), ("k", 65), ("g", 1)])
+    def test_out_of_range_model_key_is_config_error(self, key, value, dataset, config_file,
+                                                    tmp_path, capsys):
+        # these once raised tracebacks, exited 2 as data errors, or trained
+        rc = main(["pretrain", "--dataset", str(dataset), "--config", str(config_file),
+                   "--set", f"{key}={value}", "--epochs", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--n", "--m", "--episodes", "--test-per-class"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_fewshot_count_below_one_is_usage_error(self, flag, value, few_dataset,
+                                                    pretrain_ckpt, tmp_path, capsys):
+        # these once exited 2, or wrote nan accuracies and exited 0
+        out = tmp_path / "few"
+        assert run_fewshot(few_dataset, pretrain_ckpt, out, flag, value) == 1
+        assert f"usage error: argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_length_normal_is_data_error(self, config_file, tmp_path):
         # a 6-column row whose normal is (0, 0, 0) once trained and exited 0
         items, names = synth_shapes(["sphere", "cube"], per_class=2, n_points=64, seed=3)

@@ -10,13 +10,16 @@ import pytest
 
 from pcmae import optim, training
 from pcmae import tensor as T
+from pcmae.attention import encoder_forward
 from pcmae.config import FinetuneProtocol, ModelConfig, TrainConfig
 from pcmae.dataio import synth_shapes
 from pcmae.geometry import PointCloud
 from pcmae.optim import AdamWState, DivergenceError, adamw_step, cosine_lr
-from pcmae.pipeline import extract_global_feature, init_pretrain_params
-from pcmae.selfcheck import TINY
+from pcmae.pipeline import (extract_global_feature, extract_global_feature_t,
+                            init_pretrain_params, patch_descriptors)
+from pcmae.selfcheck import TINY, randomize_params
 from pcmae.tensor import ParamStore
+from pcmae.tokenizer import gate_forward
 from pcmae.training import (augment, evaluate_classifier, few_shot_episode,
                             finetune, pretrain_loop, run_few_shot)
 
@@ -569,6 +572,50 @@ class TestFinetune:
         tuned, _ = finetune(backbone, items, protocol, cfg, canon)
         acc = evaluate_classifier(tuned, canon, protocol, items)
         assert acc >= 0.95
+
+
+def features_one_graph_per_cloud(clouds, cfg, store):
+    """Global fine-tuning's features as built before one graph per minibatch:
+    one graph per cloud outside ``T.per_cloud()``, GATE on the unstacked
+    patches, and the [1, 2d] rows joined by ``T.concat``."""
+    rows = []
+    for cloud in clouds:
+        patches, descriptors = patch_descriptors(cloud, cfg, 0)
+        seq = gate_forward(patches, descriptors, store, cfg)
+        encoded = encoder_forward(seq.tokens.reshape((1, cfg.g, -1)), seq.centers[None],
+                                  store, cfg)
+        feats = T.concat([encoded.max(axis=-2), encoded.mean(axis=-2)], axis=-1)
+        rows.append(feats.reshape((1, -1)))
+    return T.concat(rows, axis=0)
+
+
+class TestGlobalFinetuneGraph:
+    @pytest.mark.parametrize("head", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("config", ["selfcheck", "bench"])
+    def test_one_graph_equals_graph_per_cloud(self, config, head):
+        # one minibatch of 5 clouds: the loss and every backbone and head
+        # gradient are the bytes of the graph-per-cloud construction
+        cfg = TINY if config == "selfcheck" else BENCH_TINY
+        items, _ = synth_shapes(["sphere", "cube", "torus"], per_class=2, n_points=cfg.n,
+                                seed=33)
+        clouds, labels = [c for c, _ in items[:5]], np.array([y for _, y in items[:5]])
+        protocol = FinetuneProtocol(scope="global", head=head, num_classes=3)
+        runs = []
+        for features in (features_one_graph_per_cloud, extract_global_feature_t):
+            store = init_pretrain_params(cfg, seed=9)
+            store.draw(training.classifier_layout(cfg, protocol), np.random.default_rng(10))
+            randomize_params(store, 11)
+            logits = training.classifier_forward(features(clouds, cfg, store), store, protocol,
+                                                 training=True, rng=np.random.default_rng(12))
+            loss = training.cross_entropy(logits, labels, protocol.num_classes)
+            loss.backward()
+            runs.append((loss.data.tobytes(), {name: t.grad.tobytes()
+                                               for name, t in store.items()
+                                               if t.grad is not None}))
+        ref, new = runs
+        assert sorted(ref[1]) == [n for n in store.names()
+                                  if n.startswith(("gate.", "enc.", "cls."))]
+        assert new == ref
 
 
 class TestEvaluate:
