@@ -115,71 +115,71 @@ SHAPE_CLASSES = ("sphere", "cube", "cylinder", "torus", "cone")
 
 
 def sample_shape(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform surface samples of one canonical shape (no rotation, no jitter)."""
+    """Uniform surface samples of one canonical shape (no rotation, no jitter).
+
+    Each kind draws the doubles of a per-point loop, in its order: where the
+    loop made one scalar ``rng.uniform(a, b)`` call per point, which is
+    ``a + (b - a) * rng.random()``, one ``rng.random(n)`` gives them all."""
     if kind == "sphere":
         v = rng.normal(size=(n, 3))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
     if kind == "cube":
-        # faces of [-1,1]^3 have equal area
+        # faces of [-1,1]^3 have equal area; uv fill the other two axes in order
         face = rng.integers(6, size=n)
         uv = rng.uniform(-1.0, 1.0, size=(n, 2))
         pts = np.empty((n, 3))
-        axis = face % 3
-        sign = np.where(face < 3, 1.0, -1.0)
-        for i in range(n):
-            a = axis[i]
-            rest = [j for j in range(3) if j != a]
-            pts[i, a] = sign[i]
-            pts[i, rest[0]] = uv[i, 0]
-            pts[i, rest[1]] = uv[i, 1]
+        axis, rows = face % 3, np.arange(n)
+        pts[rows, axis] = np.where(face < 3, 1.0, -1.0)
+        pts[rows, np.where(axis == 0, 1, 0)] = uv[:, 0]
+        pts[rows, np.where(axis == 2, 1, 2)] = uv[:, 1]
         return pts
     if kind == "cylinder":
-        # radius 1, height 2, closed caps; pick part proportional to area
+        # radius 1, height 2, closed caps; pick part proportional to area. One
+        # more draw per point: the height on the side, the squared radius on a cap
         lateral = 4.0 * math.pi
         caps = 2.0 * math.pi
-        pts = np.empty((n, 3))
         which = rng.uniform(0.0, lateral + caps, size=n)
         theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        for i in range(n):
-            if which[i] < lateral:
-                pts[i] = (math.cos(theta[i]), math.sin(theta[i]),
-                          rng.uniform(-1.0, 1.0))
-            else:
-                rad = math.sqrt(rng.uniform(0.0, 1.0))
-                z = 1.0 if which[i] < lateral + caps / 2.0 else -1.0
-                pts[i] = (rad * math.cos(theta[i]), rad * math.sin(theta[i]), z)
-        return pts
+        r = rng.random(n)
+        side = which < lateral
+        rad = np.where(side, 1.0, np.sqrt(r))
+        z = np.where(side, -1.0 + 2.0 * r, np.where(which < lateral + caps / 2.0, 1.0, -1.0))
+        return np.stack([rad * np.cos(theta), rad * np.sin(theta), z], axis=1)
     if kind == "torus":
-        # major radius 1, minor 0.4; rejection keeps sampling area-uniform
+        # major radius 1, minor 0.4; rejection keeps sampling area-uniform.
+        # An attempt draws u, v and an acceptance double; a block of attempts
+        # is drawn at once, and when it holds more than the points still
+        # needed, the generator is rewound and advanced past exactly the
+        # attempts used, as a one-attempt-at-a-time loop would leave it
         major, minor = 1.0, 0.4
-        pts = np.empty((n, 3))
-        got = 0
+        parts, got = [], 0
         while got < n:
-            u = rng.uniform(0.0, 2.0 * math.pi)
-            v = rng.uniform(0.0, 2.0 * math.pi)
-            if rng.uniform() > (major + minor * math.cos(v)) / (major + minor):
-                continue
-            ring = major + minor * math.cos(v)
-            pts[got] = (ring * math.cos(u), ring * math.sin(u), minor * math.sin(v))
-            got += 1
-        return pts
+            state = rng.bit_generator.state
+            attempts = int((n - got) * 1.5) + 16       # acceptance is 1 / 1.4 on average
+            d = rng.random((attempts, 3))
+            v = 2.0 * math.pi * d[:, 1]
+            ring = major + minor * np.cos(v)
+            keep = np.flatnonzero(d[:, 2] <= ring / (major + minor))[:n - got]
+            if got + keep.size == n and keep[-1] + 1 < attempts:
+                rng.bit_generator.state = state
+                rng.random((keep[-1] + 1, 3))
+            u, v, ring = 2.0 * math.pi * d[keep, 0], v[keep], ring[keep]
+            parts.append(np.stack([ring * np.cos(u), ring * np.sin(u), minor * np.sin(v)],
+                                  axis=1))
+            got += keep.size
+        return np.concatenate(parts) if parts else np.empty((0, 3))
     if kind == "cone":
-        # base radius 1 at z=-1, apex at z=+1, closed base
+        # base radius 1 at z=-1, apex at z=+1, closed base. One more draw per
+        # point: its square root is the distance from the apex on the side
+        # (the area element grows linearly from it) and the radius on the base
         slant = math.sqrt(1.0 + 4.0)
         lateral = math.pi * slant
         base = math.pi
-        pts = np.empty((n, 3))
         which = rng.uniform(0.0, lateral + base, size=n)
         theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        for i in range(n):
-            if which[i] < lateral:
-                t = math.sqrt(rng.uniform())    # area element grows linearly from apex
-                pts[i] = (t * math.cos(theta[i]), t * math.sin(theta[i]),
-                          1.0 - 2.0 * t)
-            else:
-                rad = math.sqrt(rng.uniform(0.0, 1.0))
-                pts[i] = (rad * math.cos(theta[i]), rad * math.sin(theta[i]), -1.0)
-        return pts
+        t = np.sqrt(rng.random(n))
+        z = np.where(which < lateral, 1.0 - 2.0 * t, -1.0)
+        return np.stack([t * np.cos(theta), t * np.sin(theta), z], axis=1)
     raise ValueError(f"unknown shape class: {kind!r}")
 
 

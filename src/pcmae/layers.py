@@ -24,11 +24,15 @@ def affine_layout(name: str, n_in: int, n_out: int) -> list:
     return [(f"{name}.w", (n_in, n_out), "normal"), (f"{name}.b", (n_out,), "zeros")]
 
 
-def affine(x: Tensor, store: ParamStore, name: str) -> Tensor:
+def _weight(x: Tensor, store: ParamStore, name: str) -> Tensor:
     w = store[f"{name}.w"]
     if x.shape[-1] != w.shape[0]:
         raise ValueError("mlp dimension mismatch")
-    return T.affine(x, w, store[f"{name}.b"])
+    return w
+
+
+def affine(x: Tensor, store: ParamStore, name: str) -> Tensor:
+    return T.affine(x, _weight(x, store, name), store[f"{name}.b"])
 
 
 def linear_layout(name: str, n_in: int, n_out: int) -> list:
@@ -38,10 +42,7 @@ def linear_layout(name: str, n_in: int, n_out: int) -> list:
 
 
 def linear(x: Tensor, store: ParamStore, name: str) -> Tensor:
-    w = store[f"{name}.w"]
-    if x.shape[-1] != w.shape[0]:
-        raise ValueError("mlp dimension mismatch")
-    return T.matmul(x, w)
+    return T.matmul(x, _weight(x, store, name))
 
 
 def _depth(store: ParamStore, prefix: str) -> int:
@@ -83,13 +84,14 @@ def embed_mlp_layout(prefix: str, widths) -> list:
 
 
 def embed_mlp_apply(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+    """Each hidden layer is one ``T.affine_norm_gelu`` node, the bytes of
+    ``affine`` -> ``layer_norm`` -> ``T.gelu``; the last layer is ``affine``."""
     n_layers = _depth(store, prefix)
-    for i in range(n_layers):
-        x = affine(x, store, f"{prefix}.l{i}")
-        if i < n_layers - 1:
-            x = layer_norm(x, store, f"{prefix}.n{i}")
-            x = T.gelu(x)
-    return x
+    for i in range(n_layers - 1):
+        name = f"{prefix}.l{i}"
+        x = T.affine_norm_gelu(x, _weight(x, store, name), store[f"{name}.b"],
+                               *_norm_params(store, f"{prefix}.n{i}"), LAYER_NORM_EPS)
+    return affine(x, store, f"{prefix}.l{n_layers - 1}")
 
 
 def layer_norm_layout(name: str, c: int, bias: bool = True) -> list:
@@ -99,9 +101,14 @@ def layer_norm_layout(name: str, c: int, bias: bool = True) -> list:
     return layout
 
 
-def layer_norm(x: Tensor, store: ParamStore, name: str) -> Tensor:
+def _norm_params(store: ParamStore, name: str) -> tuple:
+    """A layer norm's gain and its bias (None when it has none)."""
     bias = store[f"{name}.b"] if f"{name}.b" in store else None
-    return T.layer_norm(x, store[f"{name}.g"], bias, LAYER_NORM_EPS)
+    return store[f"{name}.g"], bias
+
+
+def layer_norm(x: Tensor, store: ParamStore, name: str) -> Tensor:
+    return T.layer_norm(x, *_norm_params(store, name), LAYER_NORM_EPS)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:

@@ -13,9 +13,17 @@ reaches a consumed node raises ``RuntimeError``. Only leaves (tensors without
 a closure, such as parameters) keep their ``.grad``.
 
 An op computes a buffer that only its backward reads (``reduce_max``'s
-argmax, ``log_softmax``'s softmax) only when its input requires a gradient,
-so a forward through frozen parameters, such as local-probe featurization,
-skips that work.
+argmax, ``log_softmax``'s softmax, ``gelu``'s derivative) only when its input
+requires a gradient, so a forward through frozen parameters, such as
+local-probe featurization, skips that work. ``gelu`` keeps its derivative
+Phi(x) + x * phi(x) from the forward, and its backward is one multiply.
+
+An embedding MLP's hidden layer, ``gelu(layer_norm(x @ w + b))``, is one
+node, ``affine_norm_gelu``. Its forward and backward run the private kernels
+that ``affine``, ``layer_norm`` and ``gelu`` run, in the same order, so its
+bytes are the three-node composite's; it keeps only the layer norm's
+``normed`` and ``std`` and GELU's derivative until its backward, where the
+three nodes kept five arrays of its output size.
 
 Gradient ownership: a closure that computes a fresh array for one parent
 passes ``fresh=True`` to ``_accumulate``, and the parent keeps that array as
@@ -465,45 +473,51 @@ def _erf(x) -> np.ndarray:
     return out
 
 
-def gelu(a) -> Tensor:
-    """Exact GELU, x * Phi(x) with the normal CDF Phi(x) = (1 + erf(x / sqrt 2)) / 2.
-
-    erf comes from ``_erf``'s kernel, so its approximation error is bounded:
-    within 5 float32 ulps, and 3.4e-9 in float64. The forward writes Phi
-    (kept for the backward) and the output block by block, and the backward
-    computes g * (Phi + x * phi) the same way in its result's slots, so
-    neither makes a full-size temporary."""
-    a = as_tensor(a)
-    x = a.data.reshape(-1)
-    data = np.empty(a.data.shape, np.result_type(x, np.float32))
-    out, cdf = data.reshape(-1), np.empty(x.size, data.dtype)
-    t = np.empty(min(BLOCK, x.size), data.dtype)
-    p = np.empty_like(t)
+def _gelu_forward(x: np.ndarray, with_deriv: bool):
+    """GELU of ``x`` in its float dtype (integers give float32), and its
+    derivative Phi(x) + x * phi(x) when ``with_deriv`` (else None). Both are
+    written block by block into their own arrays; Phi lives only in a
+    ``BLOCK``-element scratch slice."""
+    xf = x.reshape(-1)
+    data = np.empty(x.shape, np.result_type(xf, np.float32))
+    out = data.reshape(-1)
+    deriv = np.empty(x.shape, data.dtype) if with_deriv else None
+    df = None if deriv is None else deriv.reshape(-1)
+    t, p, c = (np.empty(min(BLOCK, xf.size), data.dtype) for _ in range(3))
     k = _consts(data.dtype)
-    with np.errstate(over="ignore"):
-        for lo in range(0, x.size, BLOCK):
-            n = min(BLOCK, x.size - lo)
-            xb, cb, ob = x[lo:lo + n], cdf[lo:lo + n], out[lo:lo + n]
+    for lo in range(0, xf.size, BLOCK):
+        n = min(BLOCK, xf.size - lo)
+        xb, cb, ob = xf[lo:lo + n], c[:n], out[lo:lo + n]
+        with np.errstate(over="ignore"):
             np.multiply(xb, k.inv_sqrt2, out=ob)    # x / sqrt 2, in the output's slot
             _erf_block(ob, cb, t[:n], p[:n], k)
-            np.add(cb, k.one, out=cb)
-            np.multiply(cb, k.half, out=cb)
-            np.multiply(xb, cb, out=ob)
-
-    def bw(g):
-        gf = g.reshape(-1)
-        dx = np.empty(a.data.shape, data.dtype)
-        df = dx.reshape(-1)
-        for lo in range(0, x.size, BLOCK):
-            xb, db = x[lo:lo + BLOCK], df[lo:lo + BLOCK]
+        np.add(cb, k.one, out=cb)
+        np.multiply(cb, k.half, out=cb)             # Phi(x)
+        np.multiply(xb, cb, out=ob)
+        if df is not None:
+            db = df[lo:lo + n]
             np.multiply(xb, xb, out=db)
             np.multiply(db, k.minus_half, out=db)
             np.exp(db, out=db)
             np.multiply(db, k.inv_sqrt2pi, out=db)  # phi(x)
             np.multiply(db, xb, out=db)
-            np.add(db, cdf[lo:lo + BLOCK], out=db)
-            np.multiply(db, gf[lo:lo + BLOCK], out=db)
-        a._accumulate(dx, fresh=True)
+            np.add(db, cb, out=db)
+    return data, deriv
+
+
+def gelu(a) -> Tensor:
+    """Exact GELU, x * Phi(x) with the normal CDF Phi(x) = (1 + erf(x / sqrt 2)) / 2.
+
+    erf comes from ``_erf``'s kernel, so its approximation error is bounded:
+    within 5 float32 ulps, and 3.4e-9 in float64. When ``a`` requires a
+    gradient, the forward also keeps the derivative Phi(x) + x * phi(x)
+    (``_gelu_forward``), so the backward is one multiply; a frozen input
+    skips it."""
+    a = as_tensor(a)
+    data, deriv = _gelu_forward(a.data, a.requires_grad)
+
+    def bw(g):
+        a._accumulate(np.multiply(g, deriv, out=deriv), fresh=True)   # a graph runs once
 
     return _result(data, (a,), bw)
 
@@ -537,6 +551,23 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+def _affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    data = _rows(x) @ w
+    data = np.add(data, b, out=data if data.dtype == b.dtype else None)
+    return data.reshape(x.shape[:-1] + w.shape[-1:])
+
+
+def _affine_backward(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor, clouds: int) -> None:
+    g3 = g.reshape(clouds, -1, g.shape[-1])
+    if x.requires_grad:
+        x._accumulate(np.matmul(g3, w.data.T).reshape(x.data.shape), fresh=True)
+    if w.requires_grad:
+        x3 = x.data.reshape(clouds, -1, x.data.shape[-1])
+        w._accumulate_slab(np.matmul(x3.transpose(0, 2, 1), g3))
+    if b.requires_grad:
+        b._accumulate_slab(g3.sum(axis=1))
+
+
 def affine(x, w, b) -> Tensor:
     """``x @ w + b`` for a 2-D weight ``w`` [c_in, c_out] and bias ``b``
     [c_out] as one node. The forward flattens x's leading axes into one 2-D
@@ -546,22 +577,44 @@ def affine(x, w, b) -> Tensor:
     ``np.matmul`` for the input gradient and one for the weight slab, and one
     row sum per cloud for the bias slab."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    data = _rows(x.data) @ w.data
-    data = np.add(data, b.data, out=data if data.dtype == b.data.dtype else None)
-    data = data.reshape(x.data.shape[:-1] + w.data.shape[-1:])
+    data = _affine_forward(x.data, w.data, b.data)
     clouds = _clouds(x)
 
     def bw(g):
-        g3 = g.reshape(clouds, -1, g.shape[-1])
-        if x.requires_grad:
-            x._accumulate(np.matmul(g3, w.data.T).reshape(x.data.shape), fresh=True)
-        if w.requires_grad:
-            x3 = x.data.reshape(clouds, -1, x.data.shape[-1])
-            w._accumulate_slab(np.matmul(x3.transpose(0, 2, 1), g3))
-        if b.requires_grad:
-            b._accumulate_slab(g3.sum(axis=1))
+        _affine_backward(g, x, w, b, clouds)
 
     return _result(data, (x, w, b), bw)
+
+
+def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias, eps: float):
+    """The layer norm of ``x`` with its ``normed`` and ``std``, which are all
+    its backward reads of the forward."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    std = np.sqrt(var + eps)
+    normed = centered / std
+    data = normed * gain
+    if bias is not None:
+        data = data + bias
+    return data, normed, std
+
+
+def _layer_norm_backward(g: np.ndarray, gain: Tensor, bias, normed: np.ndarray,
+                         std: np.ndarray, clouds: int, input_grad: bool):
+    """Add the gain and bias slabs, and return the input gradient when
+    ``input_grad`` (else None)."""
+    dx = None
+    if input_grad:
+        gx = g * gain.data
+        dx = gx - gx.mean(axis=-1, keepdims=True)
+        dx -= normed * (gx * normed).mean(axis=-1, keepdims=True)
+        dx /= std
+    if gain.requires_grad:
+        gain._accumulate_slab((g * normed).reshape(clouds, -1, g.shape[-1]).sum(axis=1))
+    if bias is not None and bias.requires_grad:
+        bias._accumulate_slab(g.reshape(clouds, -1, g.shape[-1]).sum(axis=1))
+    return dx
 
 
 def layer_norm(x, gain, bias, eps: float) -> Tensor:
@@ -576,29 +629,42 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     """
     x, gain = as_tensor(x), as_tensor(gain)
     bias = None if bias is None else as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    std = np.sqrt(var + eps)
-    normed = centered / std
-    data = normed * gain.data
-    if bias is not None:
-        data = data + bias.data
+    data, normed, std = _layer_norm_forward(x.data, gain.data,
+                                            None if bias is None else bias.data, eps)
     clouds = _clouds(x)
 
     def bw(g):
-        if x.requires_grad:
-            gx = g * gain.data
-            dx = gx - gx.mean(axis=-1, keepdims=True)
-            dx -= normed * (gx * normed).mean(axis=-1, keepdims=True)
-            dx /= std
+        dx = _layer_norm_backward(g, gain, bias, normed, std, clouds, x.requires_grad)
+        if dx is not None:
             x._accumulate(dx, fresh=True)
-        if gain.requires_grad:
-            gain._accumulate_slab((g * normed).reshape(clouds, -1, g.shape[-1]).sum(axis=1))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate_slab(g.reshape(clouds, -1, g.shape[-1]).sum(axis=1))
 
     return _result(data, (x, gain) if bias is None else (x, gain, bias), bw)
+
+
+def affine_norm_gelu(x, w, b, gain, bias, eps: float) -> Tensor:
+    """``gelu(layer_norm(affine(x, w, b), gain, bias, eps))``, an embedding
+    MLP's hidden layer, as one node. It runs the kernels of ``affine``,
+    ``layer_norm`` and ``gelu`` in their order, so its output and every
+    gradient are the composite's bytes, but it keeps only the layer norm's
+    ``normed`` and ``std`` and GELU's derivative for its backward, where the
+    composite's three nodes keep the affine output, ``normed``, the layer
+    norm's output, Phi and the GELU output."""
+    x, w, b, gain = as_tensor(x), as_tensor(w), as_tensor(b), as_tensor(gain)
+    bias = None if bias is None else as_tensor(bias)
+    parents = (x, w, b, gain) if bias is None else (x, w, b, gain, bias)
+    y, normed, std = _layer_norm_forward(_affine_forward(x.data, w.data, b.data), gain.data,
+                                         None if bias is None else bias.data, eps)
+    data, deriv = _gelu_forward(y, any(p.requires_grad for p in parents))
+    clouds = _clouds(x)
+    affine_grad = x.requires_grad or w.requires_grad or b.requires_grad
+
+    def bw(g):
+        np.multiply(g, deriv, out=deriv)        # a graph runs once
+        gh = _layer_norm_backward(deriv, gain, bias, normed, std, clouds, affine_grad)
+        if gh is not None:
+            _affine_backward(gh, x, w, b, clouds)
+
+    return _result(data, parents, bw)
 
 
 # --- shape ops --------------------------------------------------------------
@@ -777,12 +843,15 @@ def log_softmax(a, axis=-1) -> Tensor:
 # --- parameter store --------------------------------------------------------
 
 def trunc_normal(rng: np.random.Generator, shape, std=0.02, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) samples rejected outside +-2 std."""
+    """Normal(0, std) samples rejected outside +-2 std: each round redraws the
+    rejected entries in index order, and only those are tested again."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    redo = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while redo.size:
+        fresh = rng.normal(0.0, std, size=redo.size)
+        flat[redo] = fresh
+        redo = redo[np.abs(fresh) > 2.0 * std]
     return out.astype(dtype)
 
 

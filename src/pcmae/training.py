@@ -92,7 +92,7 @@ def _fit(store: ParamStore, n: int, train_cfg: TrainConfig, rng: np.random.Gener
 #   clouds/s at 695 / 754 / 831 MB.
 # The benchmark bounds the peak at +10%, so 512 points: 2 clouds at
 # pretrain-tiny's shape, 1 at the default config.
-PRETRAIN_CHUNK_POINTS = 512
+PRETRAIN_CHUNK_POINTS = 1024
 
 
 def pretrain_chunk(cfg: ModelConfig) -> int:
@@ -310,6 +310,13 @@ class FewShotEpisode:
     classes: list[int]          # original class ids, indexed by episode label
 
 
+def _require_counts(**counts: int) -> None:
+    """Raise ValueError naming the first count below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _episode_indices(labels: list[int], n_way: int, m_shot: int, test_per_class: int,
                      seed) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Sample n classes without replacement, then m train + ``test_per_class``
@@ -317,6 +324,7 @@ def _episode_indices(labels: list[int], n_way: int, m_shot: int, test_per_class:
     and test item indices, class by class in episode order, and the chosen
     class ids, so item j of a split has episode label j // (its per-class
     count)."""
+    _require_counts(n_way=n_way, m_shot=m_shot, test_per_class=test_per_class)
     rng = np.random.default_rng(seed)
     by_class: dict[int, list[int]] = {}
     for i, label in enumerate(labels):
@@ -351,6 +359,8 @@ def run_few_shot(backbone: ParamStore, items: list[LabeledItem], n_way: int,
     Every episode is drawn first, as item indices. In local scope the
     backbone is frozen, so the sorted union of the drawn items is featurized
     once and each episode reads its rows of that matrix."""
+    _require_counts(n_way=n_way, m_shot=m_shot, episodes=episodes,
+                    test_per_class=test_per_class)
     clouds = [cloud for cloud, _ in items]
     labels = [label for _, label in items]
     drawn = [_episode_indices(labels, n_way, m_shot, test_per_class, train_cfg.seed + ep)[:2]

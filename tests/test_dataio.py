@@ -1,4 +1,5 @@
 """File formats: xyz clouds, manifests, synthetic datasets, checkpoints."""
+import math
 import struct
 
 import numpy as np
@@ -139,6 +140,79 @@ class TestSynthShapes:
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="unknown shape class"):
             synth_shapes(["pyramid"], per_class=1, n_points=32, seed=0)
+
+
+def sample_shape_loop(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The per-point loop ``sample_shape`` replaced, kept as its oracle for
+    the non-sphere kinds."""
+    if kind == "cube":
+        face = rng.integers(6, size=n)
+        uv = rng.uniform(-1.0, 1.0, size=(n, 2))
+        pts = np.empty((n, 3))
+        axis = face % 3
+        sign = np.where(face < 3, 1.0, -1.0)
+        for i in range(n):
+            a = axis[i]
+            rest = [j for j in range(3) if j != a]
+            pts[i, a] = sign[i]
+            pts[i, rest[0]] = uv[i, 0]
+            pts[i, rest[1]] = uv[i, 1]
+        return pts
+    if kind == "cylinder":
+        lateral = 4.0 * math.pi
+        caps = 2.0 * math.pi
+        pts = np.empty((n, 3))
+        which = rng.uniform(0.0, lateral + caps, size=n)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        for i in range(n):
+            if which[i] < lateral:
+                pts[i] = (math.cos(theta[i]), math.sin(theta[i]), rng.uniform(-1.0, 1.0))
+            else:
+                rad = math.sqrt(rng.uniform(0.0, 1.0))
+                z = 1.0 if which[i] < lateral + caps / 2.0 else -1.0
+                pts[i] = (rad * math.cos(theta[i]), rad * math.sin(theta[i]), z)
+        return pts
+    if kind == "torus":
+        major, minor = 1.0, 0.4
+        pts = np.empty((n, 3))
+        got = 0
+        while got < n:
+            u = rng.uniform(0.0, 2.0 * math.pi)
+            v = rng.uniform(0.0, 2.0 * math.pi)
+            if rng.uniform() > (major + minor * math.cos(v)) / (major + minor):
+                continue
+            ring = major + minor * math.cos(v)
+            pts[got] = (ring * math.cos(u), ring * math.sin(u), minor * math.sin(v))
+            got += 1
+        return pts
+    assert kind == "cone"
+    slant = math.sqrt(1.0 + 4.0)
+    lateral = math.pi * slant
+    base = math.pi
+    pts = np.empty((n, 3))
+    which = rng.uniform(0.0, lateral + base, size=n)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    for i in range(n):
+        if which[i] < lateral:
+            t = math.sqrt(rng.uniform())
+            pts[i] = (t * math.cos(theta[i]), t * math.sin(theta[i]), 1.0 - 2.0 * t)
+        else:
+            rad = math.sqrt(rng.uniform(0.0, 1.0))
+            pts[i] = (rad * math.cos(theta[i]), rad * math.sin(theta[i]), -1.0)
+    return pts
+
+
+class TestSampleShapeOracle:
+    @pytest.mark.parametrize("kind", ["cube", "cylinder", "torus", "cone"])
+    def test_same_bytes_and_generator_state_as_the_loop(self, kind):
+        # the points, and the generator's next draw after them
+        for seed in range(40):
+            for n in (0, 1, 2, 17, 256, 1024):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = sample_shape(kind, n, a), sample_shape_loop(kind, n, b)
+                assert got.shape == want.shape == (n, 3)
+                assert got.tobytes() == want.tobytes(), (kind, seed, n)
+                assert a.random() == b.random(), (kind, seed, n)
 
 
 class TestManifest:

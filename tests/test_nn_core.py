@@ -1,15 +1,21 @@
 """Autodiff primitives, parameter store, and the finite-difference harness."""
+import contextlib
 import math
+import re
 import zlib
 
 import numpy as np
 import pytest
 
 from pcmae import tensor as T
+from pcmae.config import ModelConfig
 from pcmae.gradcheck import check_param_gradients, finite_difference_check
 from pcmae.layers import (LAYER_NORM_EPS, cross_entropy, dropout, layer_norm,
                           layer_norm_layout, mlp_apply, mlp_layout)
+from pcmae.pipeline import pretrain_layout
+from pcmae.selfcheck import TINY
 from pcmae.tensor import ParamStore, Tensor, trunc_normal
+from test_training import BENCH_TINY
 
 
 class TestMlp:
@@ -223,6 +229,92 @@ class TestPerCloud:
         for name in chunk:
             assert chunk[name].grad.tobytes() == ones[name].grad.tobytes(), name
             assert chunk[name]._slabs is None
+
+
+def embed_hidden_widths(cfg):
+    """(c_in, c_out) of every embedding-MLP hidden layer at ``cfg``: each
+    affine ``<prefix>.l<i>`` that a layer norm ``<prefix>.n<i>`` follows."""
+    shapes = {name: shape for name, shape, _ in pretrain_layout(cfg)}
+    return sorted({shapes[f"{m[1]}.l{m[2]}.w"] for m in
+                   (re.fullmatch(r"(.+)\.n(\d+)\.g", name) for name in shapes) if m})
+
+
+def composite_embed_layer(x, w, b, gain, bias, eps):
+    """An embedding MLP's hidden layer as three nodes (the unfused oracle)."""
+    return T.gelu(T.layer_norm(T.affine(x, w, b), gain, bias, eps))
+
+
+class TestAffineNormGelu:
+    """``T.affine_norm_gelu`` against the ``affine`` -> ``layer_norm`` ->
+    ``gelu`` composite that ``embed_mlp_apply`` used to build."""
+
+    CONFIGS = {"selfcheck": TINY, "bench": BENCH_TINY, "default": ModelConfig()}
+
+    @staticmethod
+    def _values(c_in, c_out, seed, dtype=np.float32, lead=(3, 5)):
+        rng = np.random.default_rng(seed)
+        vals = {"x": rng.normal(size=(*lead, c_in)), "w": rng.normal(0.0, 0.3, (c_in, c_out)),
+                "b": rng.normal(0.0, 0.1, c_out), "g": rng.normal(1.0, 0.1, c_out),
+                "s": rng.normal(0.0, 0.1, c_out), "r": rng.normal(size=(*lead, c_out))}
+        return {k: v.astype(dtype) for k, v in vals.items()}
+
+    @staticmethod
+    def _run(layer, vals, bias, per_cloud):
+        t = {k: Tensor(v.copy(), requires_grad=k != "r") for k, v in vals.items()}
+        with T.per_cloud() if per_cloud else contextlib.nullcontext():
+            out = layer(t["x"], t["w"], t["b"], t["g"], t["s"] if bias else None,
+                        LAYER_NORM_EPS)
+            (out * t["r"]).sum().backward()
+        return out.data.tobytes(), {k: v.grad.tobytes() for k, v in t.items()
+                                    if v.grad is not None}
+
+    def test_widths_cover_every_embedding_mlp(self):
+        assert embed_hidden_widths(TINY) == [(3, 8), (33, 8), (48, 24)]
+        assert embed_hidden_widths(ModelConfig()) == [(3, 128), (33, 128), (384, 384)]
+
+    @pytest.mark.parametrize("per_cloud", [False, True])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("config", ["selfcheck", "bench", "default"])
+    def test_bytes_equal_the_composite(self, config, bias, per_cloud):
+        # the output and the gradients of x, w, b, the gain and the bias
+        for i, (c_in, c_out) in enumerate(embed_hidden_widths(self.CONFIGS[config])):
+            vals = self._values(c_in, c_out, 40 + i)
+            fused = self._run(T.affine_norm_gelu, vals, bias, per_cloud)
+            composite = self._run(composite_embed_layer, vals, bias, per_cloud)
+            assert sorted(fused[1]) == (["b", "g", "s", "w", "x"] if bias
+                                        else ["b", "g", "w", "x"])
+            assert fused == composite, (config, c_in, c_out)
+
+    def test_frozen_inputs_compute_no_derivative(self, monkeypatch):
+        # GELU's derivative is the only exp of the forward
+        vals, real, calls = self._values(33, 96, 45), np.exp, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        args = [Tensor(vals[k]) for k in ("x", "w", "b", "g", "s")]
+        frozen = T.affine_norm_gelu(*args, LAYER_NORM_EPS)
+        frozen_gelu = T.gelu(Tensor(vals["x"]))
+        assert calls == []
+        assert frozen._backward is None and frozen_gelu._backward is None
+        args[1] = Tensor(vals["w"], requires_grad=True)
+        trained = T.affine_norm_gelu(*args, LAYER_NORM_EPS)
+        assert len(calls) == 1
+        assert trained.data.tobytes() == frozen.data.tobytes()
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_gradient_against_finite_differences(self, bias):
+        store = ParamStore()
+        for name, v in self._values(4, 6, 46, np.float64, lead=(2, 3)).items():
+            store.add(name, v)
+        store.set_trainable("r", False)
+        s = store["s"] if bias else None
+        err = check_param_gradients(lambda: (T.affine_norm_gelu(
+            store["x"], store["w"], store["b"], store["g"], s, LAYER_NORM_EPS)
+            * store["r"]).sum(), store)
+        assert err < 1e-4
 
 
 class TestTapeHygiene:
@@ -568,6 +660,21 @@ class TestGelu:
         assert y.data.dtype == np.float32 and y.data.tobytes() == (x * cdf).tobytes()
         pdf = np.float32(1.0 / math.sqrt(2.0 * math.pi)) * np.exp(np.float32(-0.5) * x * x)
         np.testing.assert_allclose(t.grad, w * (cdf + x * pdf), rtol=1e-6, atol=1e-7)
+
+
+    def test_backward_multiplies_the_derivative_kept_by_the_forward(self):
+        # bytes of g * (Phi + x * phi), phi(x) = exp(-x^2 / 2) / sqrt(2 pi)
+        # in the derivative's op order, across block boundaries
+        rng = np.random.default_rng(33)
+        x = rng.normal(0.0, 2.0, (T.BLOCK + 5,)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        t = Tensor(x, requires_grad=True)
+        (T.gelu(t) * Tensor(g)).sum().backward()
+        cdf = T._erf(x * np.float32(1.0 / math.sqrt(2.0)))
+        cdf += 1.0
+        cdf *= 0.5
+        phi = np.exp(x * x * np.float32(-0.5)) * np.float32(1.0 / math.sqrt(2.0 * math.pi))
+        assert t.grad.tobytes() == ((phi * x + cdf) * g).tobytes()
 
 
 class TestCrossEntropy:

@@ -179,15 +179,19 @@ class TestGateMacs:
         assert 603e6 < fuse < 605e6 and 34e6 < patch < 35e6
 
     def test_matches_the_affine_work_of_one_forward(self, monkeypatch):
+        # the GEMMs of T.affine and of the embedding MLPs' fused hidden layers
         patches, descs = _patched_cloud(27)
         store = randomized_store(28)
-        real, macs = T.affine, []
+        macs = []
 
-        def counted(x, w, b):
-            out = real(x, w, b)
-            macs.append(out.data.size * w.shape[0])         # rows * c_in * c_out
-            return out
+        def counted(real):
+            def op(x, w, b, *rest):
+                out = real(x, w, b, *rest)
+                macs.append(out.data.size * w.shape[0])     # rows * c_in * c_out
+                return out
+            return op
 
-        monkeypatch.setattr(T, "affine", counted)
+        for name in ("affine", "affine_norm_gelu"):
+            monkeypatch.setattr(T, name, counted(getattr(T, name)))
         gate_forward(patches, descs, store, TINY)
         assert sum(macs) == gate_macs(TINY)

@@ -688,6 +688,21 @@ class TestFewShot:
         with pytest.raises(ValueError, match="insufficient samples per class"):
             few_shot_episode(items, 2, 10, test_per_class=20, seed=0)
 
+    @pytest.mark.parametrize("arg", ["n_way", "m_shot", "episodes", "test_per_class"])
+    def test_counts_below_one_rejected(self, arg):
+        # before any episode is drawn or any cloud featurized
+        items = self._items()
+        counts = {"n_way": 2, "m_shot": 3, "episodes": 3, "test_per_class": 20, arg: 0}
+        message = rf"^{arg} must be >= 1, got 0$"
+        with pytest.raises(ValueError, match=message):
+            run_few_shot(init_pretrain_params(TINY, seed=8), items,
+                         train_cfg=TrainConfig(epochs=1, batch_size=16, seed=0),
+                         model_cfg=TINY, **counts)
+        if arg != "episodes":
+            del counts["episodes"]
+            with pytest.raises(ValueError, match=message):
+                few_shot_episode(items, seed=0, **counts)
+
     def test_local_scope_featurizes_the_union_once(self, monkeypatch):
         # every drawn cloud once, in item order, one featurizer call per
         # FEATURE_CHUNK of them
@@ -722,6 +737,14 @@ class TestFewShot:
         assert len(accs) == 3
         assert mean == pytest.approx(float(np.mean(accs)))
         assert std == pytest.approx(float(np.std(accs)))
+
+
+class TestPretrainChunkRule:
+    def test_clouds_per_graph(self):
+        # 1024 patch points: 4 clouds at bench TINY (g * k = 256), 1 at the
+        # default config (g * k = 2048)
+        assert training.pretrain_chunk(BENCH_TINY) == 4
+        assert training.pretrain_chunk(ModelConfig()) == 1
 
 
 def run_digest(store, curve):
