@@ -586,7 +586,7 @@ def affine(x, w, b) -> Tensor:
     return _result(data, (x, w, b), bw)
 
 
-def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias, eps: float):
+def _layer_norm_forward(x: np.ndarray, gain: Tensor, bias, eps: float):
     """The layer norm of ``x`` with its ``normed`` and ``std``, which are all
     its backward reads of the forward."""
     mu = x.mean(axis=-1, keepdims=True)
@@ -594,9 +594,9 @@ def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias, eps: float):
     var = (centered * centered).mean(axis=-1, keepdims=True)
     std = np.sqrt(var + eps)
     normed = centered / std
-    data = normed * gain
+    data = normed * gain.data
     if bias is not None:
-        data = data + bias
+        data = data + bias.data
     return data, normed, std
 
 
@@ -629,8 +629,7 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     """
     x, gain = as_tensor(x), as_tensor(gain)
     bias = None if bias is None else as_tensor(bias)
-    data, normed, std = _layer_norm_forward(x.data, gain.data,
-                                            None if bias is None else bias.data, eps)
+    data, normed, std = _layer_norm_forward(x.data, gain, bias, eps)
     clouds = _clouds(x)
 
     def bw(g):
@@ -652,8 +651,8 @@ def affine_norm_gelu(x, w, b, gain, bias, eps: float) -> Tensor:
     x, w, b, gain = as_tensor(x), as_tensor(w), as_tensor(b), as_tensor(gain)
     bias = None if bias is None else as_tensor(bias)
     parents = (x, w, b, gain) if bias is None else (x, w, b, gain, bias)
-    y, normed, std = _layer_norm_forward(_affine_forward(x.data, w.data, b.data), gain.data,
-                                         None if bias is None else bias.data, eps)
+    y, normed, std = _layer_norm_forward(_affine_forward(x.data, w.data, b.data), gain, bias,
+                                         eps)
     data, deriv = _gelu_forward(y, any(p.requires_grad for p in parents))
     clouds = _clouds(x)
     affine_grad = x.requires_grad or w.requires_grad or b.requires_grad

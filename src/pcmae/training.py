@@ -84,13 +84,14 @@ def _fit(store: ParamStore, n: int, train_cfg: TrainConfig, rng: np.random.Gener
 # ``pretrain_forward`` and one backward each; the trained bytes do not depend
 # on it. A graph holds GATE's per-point activations until its backward, so its
 # memory grows with g * k. Measured with perfbench (2-vCPU Xeon, BLAS on one
-# thread, 10 s runs) at a fixed number of clouds per chunk B:
-# - pretrain-tiny (g * k = 256; batch 32), B = 1 / 2 / 4 / 8 / 16: 64-65 /
-#   83-87 / 100 / 107-114 / 118-119 train clouds/s at a peak resident set of
-#   62.0 / 63.1 / 68.9 / 81.0 / 104.9 MB (2.7 MB of graph per cloud);
-# - pretrain-paper (g * k = 2048; batch 4), B = 1 / 2 / 4: 3.0 / 3.6 / 3.9
-#   clouds/s at 695 / 754 / 831 MB.
-# The benchmark bounds the peak at +10%, so 512 points: 2 clouds at
+# thread, 10 s runs, three seeds) at a fixed number of clouds per chunk B,
+# with each embedding hidden layer one ``T.affine_norm_gelu`` node:
+# - pretrain-tiny (g * k = 256; batch 32), B = 2 / 4 / 8: 96-111 / 115-120 /
+#   102-136 train clouds/s at a peak resident set of 63.0-63.3 / 67.9-68.0 /
+#   78.6-78.8 MB;
+# - pretrain-paper (g * k = 2048; batch 4), B = 1 / 2, two seeds: 3.7-3.9
+#   train clouds/s at both, at 687-688 / 735-737 MB.
+# The benchmark bounds the peak at +10%, so 1024 points: 4 clouds at
 # pretrain-tiny's shape, 1 at the default config.
 PRETRAIN_CHUNK_POINTS = 1024
 

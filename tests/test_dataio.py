@@ -143,8 +143,8 @@ class TestSynthShapes:
 
 
 def sample_shape_loop(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The per-point loop ``sample_shape`` replaced, kept as its oracle for
-    the non-sphere kinds."""
+    """A per-point loop of scalar draws: the oracle for ``sample_shape``'s
+    non-sphere kinds."""
     if kind == "cube":
         face = rng.integers(6, size=n)
         uv = rng.uniform(-1.0, 1.0, size=(n, 2))

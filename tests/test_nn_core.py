@@ -246,7 +246,7 @@ def composite_embed_layer(x, w, b, gain, bias, eps):
 
 class TestAffineNormGelu:
     """``T.affine_norm_gelu`` against the ``affine`` -> ``layer_norm`` ->
-    ``gelu`` composite that ``embed_mlp_apply`` used to build."""
+    ``gelu`` composite, whose bytes it keeps."""
 
     CONFIGS = {"selfcheck": TINY, "bench": BENCH_TINY, "default": ModelConfig()}
 
@@ -268,16 +268,15 @@ class TestAffineNormGelu:
         return out.data.tobytes(), {k: v.grad.tobytes() for k, v in t.items()
                                     if v.grad is not None}
 
-    def test_widths_cover_every_embedding_mlp(self):
-        assert embed_hidden_widths(TINY) == [(3, 8), (33, 8), (48, 24)]
-        assert embed_hidden_widths(ModelConfig()) == [(3, 128), (33, 128), (384, 384)]
-
     @pytest.mark.parametrize("per_cloud", [False, True])
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("config", ["selfcheck", "bench", "default"])
     def test_bytes_equal_the_composite(self, config, bias, per_cloud):
-        # the output and the gradients of x, w, b, the gain and the bias
-        for i, (c_in, c_out) in enumerate(embed_hidden_widths(self.CONFIGS[config])):
+        # the output and the gradients of x, w, b, the gain and the bias, at
+        # each hidden width: points and positions (c_in 3), descriptors, fuse
+        widths = embed_hidden_widths(self.CONFIGS[config])
+        assert len(widths) == 3
+        for i, (c_in, c_out) in enumerate(widths):
             vals = self._values(c_in, c_out, 40 + i)
             fused = self._run(T.affine_norm_gelu, vals, bias, per_cloud)
             composite = self._run(composite_embed_layer, vals, bias, per_cloud)
@@ -660,7 +659,6 @@ class TestGelu:
         assert y.data.dtype == np.float32 and y.data.tobytes() == (x * cdf).tobytes()
         pdf = np.float32(1.0 / math.sqrt(2.0 * math.pi)) * np.exp(np.float32(-0.5) * x * x)
         np.testing.assert_allclose(t.grad, w * (cdf + x * pdf), rtol=1e-6, atol=1e-7)
-
 
     def test_backward_multiplies_the_derivative_kept_by_the_forward(self):
         # bytes of g * (Phi + x * phi), phi(x) = exp(-x^2 / 2) / sqrt(2 pi)
