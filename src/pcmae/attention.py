@@ -15,13 +15,13 @@ import numpy as np
 
 from . import tensor as T
 from .config import BlockConfig, ModelConfig
-from .layers import (affine, affine_layout, embed_mlp_apply, embed_mlp_layout, layer_norm,
-                     layer_norm_layout, linear, linear_layout, mlp_apply, mlp_layout)
+from .layers import (affine, affine_layout, layer_norm, layer_norm_layout, linear,
+                     linear_layout, mlp_apply, mlp_layout)
 from .tensor import ParamStore, Tensor
 
 
 def pos_embed_layout(prefix: str, d: int, hidden: int) -> list:
-    return embed_mlp_layout(prefix, (3, hidden, d))
+    return mlp_layout(prefix, (3, hidden, d), norm=True)
 
 
 def positional_embed(centers: np.ndarray | Tensor, store: ParamStore, prefix: str) -> Tensor:
@@ -30,7 +30,7 @@ def positional_embed(centers: np.ndarray | Tensor, store: ParamStore, prefix: st
     if not isinstance(centers, Tensor):
         dtype = store[f"{prefix}.l0.w"].data.dtype
         centers = Tensor(np.ascontiguousarray(centers, dtype=dtype))
-    return embed_mlp_apply(centers, store, prefix)
+    return mlp_apply(centers, store, prefix)
 
 
 def block_layout(prefix: str, cfg: BlockConfig, mode: str,

@@ -205,18 +205,38 @@ def _cmd_finetune(args) -> int:
     return EXIT_OK
 
 
+def _classifier_protocol(path, store, model_cfg, block) -> tuple[FinetuneProtocol, int]:
+    """The protocol and data seed a classifier checkpoint records. A missing
+    or invalid key, and head tensors other than ``classifier_layout``'s
+    names and shapes, raise CheckpointError naming the key or the tensor."""
+    from .dataio import CheckpointError, check_layout
+    from .pipeline import BACKBONE_PREFIXES
+    from .training import classifier_layout
+
+    extra = block.get("extra") or {}
+    if "protocol" not in extra:
+        raise SchemaError("checkpoint does not contain a classifier head")
+    proto, train = extra["protocol"], block.get("train") or {}
+    try:
+        protocol = FinetuneProtocol(*(proto[key] for key in ("scope", "head", "num_classes")))
+        if type(train.get("seed", 0)) is not int:
+            raise SchemaError("train.seed must be an integer")
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: protocol key {exc} is missing") from None
+    except (SchemaError, TypeError, AttributeError) as exc:     # not objects, bad values
+        raise CheckpointError(f"{path}: bad protocol: {exc}") from None
+    check_layout(path, {name: t.shape for name, t in store.items()},
+                 classifier_layout(model_cfg, protocol),
+                 lambda name: not name.startswith(BACKBONE_PREFIXES))
+    return protocol, train.get("seed", 0)
+
+
 def _cmd_eval(args) -> int:
     from .dataio import load_dataset, write_csv
     from .training import evaluate_classifier
 
     backbone, model_cfg, _, block = _load_checkpoint_configs(args)
-    extra = block.get("extra") or {}
-    if "protocol" not in extra:
-        raise SchemaError("checkpoint does not contain a classifier head")
-    proto_d = extra["protocol"]
-    protocol = FinetuneProtocol(scope=proto_d["scope"], head=proto_d["head"],
-                                num_classes=int(proto_d["num_classes"]))
-    seed = int((block.get("train") or {}).get("seed", 0))
+    protocol, seed = _classifier_protocol(args.checkpoint, backbone, model_cfg, block)
     items, _ = load_dataset(args.dataset, args.split, n=model_cfg.n, seed=seed)
     acc = evaluate_classifier(backbone, model_cfg, protocol, items)
     print(f"{args.split} accuracy: {acc:.6f}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -102,6 +103,16 @@ class TrainConfig:
     checkpoint_epochs: tuple = (100, 200, 300)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+                raise SchemaError(f"{f.name} must be finite")
+        for name, lo, hi in (("lr_min", 0.0, math.inf), ("weight_decay", 0.0, math.inf),
+                             ("beta1", 0.0, 1.0), ("beta2", 0.0, 1.0),
+                             ("label_smoothing", 0.0, 1.0)):
+            if not lo <= getattr(self, name) < hi:
+                raise SchemaError(f"{name} must lie in [{lo:g}, {hi:g})")
+        if self.eps <= 0.0:
+            raise SchemaError("eps must be > 0")
         if self.lr_min > self.lr_max:
             raise SchemaError("lr_min must not exceed lr_max")
         if self.epochs < 1:
@@ -121,6 +132,8 @@ class FinetuneProtocol:
             raise SchemaError("scope must be 'global' or 'local'")
         if self.head not in ("linear", "nonlinear"):
             raise SchemaError("head must be 'linear' or 'nonlinear'")
+        if type(self.num_classes) is not int or self.num_classes < 1:
+            raise SchemaError("num_classes must be an integer >= 1")
 
 
 _MODEL_FIELDS = {f.name: f for f in dataclasses.fields(ModelConfig)}

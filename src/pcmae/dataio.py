@@ -350,9 +350,10 @@ def save_checkpoint(path, store: ParamStore, model_cfg: ModelConfig,
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read tensors + config block; magic/version problems, lengths that
     run past the end of the file, a config block that does not decode and
-    non-finite tensor values raise CheckpointError ('bad magic' /
-    'unsupported checkpoint version' / 'truncated checkpoint' / 'corrupt
-    config block' / 'non-finite values in tensor <name>')."""
+    non-finite tensor values and a tensor name listed twice raise
+    CheckpointError ('bad magic' / 'unsupported checkpoint version' /
+    'truncated checkpoint' / 'corrupt config block' / 'non-finite values in
+    tensor <name>' / 'duplicate tensor <name>')."""
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
 
@@ -381,6 +382,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         for _ in range(count):
             name_len = struct.unpack("<I", read(4))[0]
             name = read(name_len).decode("utf-8")
+            if name in tensors:
+                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
             ndim = struct.unpack("<I", read(4))[0]
             shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
             size = math.prod(shape)
@@ -391,6 +394,22 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes")
     return tensors, config_block
+
+
+def check_layout(path, shapes: dict, layout: list, owns) -> None:
+    """Raise CheckpointError unless ``shapes`` (name -> shape) holds every
+    tensor of ``layout`` in its shape and no other tensor whose name ``owns``
+    accepts ('missing tensor' / 'has shape' / 'unexpected tensor')."""
+    expected = {name: shape for name, shape, _ in layout}
+    for name, shape in expected.items():
+        if name not in shapes:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if shapes[name] != shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shapes[name]}, "
+                                  f"expected {shape}")
+    for name in shapes:
+        if owns(name) and name not in expected:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
 
 
 def load_model_checkpoint(path) -> tuple[ParamStore, ModelConfig, dict]:
@@ -409,16 +428,8 @@ def load_model_checkpoint(path) -> tuple[ParamStore, ModelConfig, dict]:
         model_cfg = model_config_from_dict(model_block)
     except SchemaError as exc:
         raise CheckpointError(f"{path}: bad model config: {exc}") from None
-    layout = {name: shape for name, shape, _ in pretrain_layout(model_cfg)}
-    for name, shape in layout.items():
-        if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape "
-                                  f"{tensors[name].shape}, expected {shape}")
-    for name in tensors:
-        if name.startswith(BACKBONE_PREFIXES) and name not in layout:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+    check_layout(path, {name: t.shape for name, t in tensors.items()},
+                 pretrain_layout(model_cfg), lambda name: name.startswith(BACKBONE_PREFIXES))
     store = ParamStore()
     for name in sorted(tensors):
         store.add(name, tensors[name])      # load_checkpoint's arrays are fresh copies

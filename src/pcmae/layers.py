@@ -8,7 +8,9 @@ normal, std 0.02: weights), ``zeros`` (biases) or ``ones`` (layer-norm
 gains). The ``*_layout`` functions here and in the model modules only name
 and shape; ``ParamStore.draw`` is the one place that draws a layout, entry
 by entry from one generator, so reading the names and shapes draws nothing.
-The forward helpers read a stack's depth from the store.
+The forward helpers read a stack's depth, and whether its hidden layers
+have layer norms, from the store. Every MLP hidden layer is one autodiff
+node, ``T.affine_norm_gelu``.
 """
 from __future__ import annotations
 
@@ -54,23 +56,9 @@ def _depth(store: ParamStore, prefix: str) -> int:
     return n
 
 
-def mlp_layout(prefix: str, widths) -> list:
-    return [entry for i in range(len(widths) - 1)
-            for entry in affine_layout(f"{prefix}.l{i}", widths[i], widths[i + 1])]
-
-
-def mlp_apply(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    """Affine stack with GELU between layers and none after the last."""
-    n_layers = _depth(store, prefix)
-    for i in range(n_layers):
-        x = affine(x, store, f"{prefix}.l{i}")
-        if i < n_layers - 1:
-            x = T.gelu(x)
-    return x
-
-
-def embed_mlp_layout(prefix: str, widths) -> list:
-    """Embedding MLP: affine -> layer norm -> GELU between layers.
+def mlp_layout(prefix: str, widths, norm: bool = False) -> list:
+    """Affine layers ``prefix.l<i>`` between ``widths``; with ``norm``, each
+    hidden layer also gets a layer norm ``prefix.n<i>`` (the embedding MLPs).
 
     The hidden norms keep activations O(1) under the small-sigma weight init;
     without them stacked 0.02-scale affines attenuate tokens to noise level.
@@ -78,19 +66,22 @@ def embed_mlp_layout(prefix: str, widths) -> list:
     layout = []
     for i in range(len(widths) - 1):
         layout += affine_layout(f"{prefix}.l{i}", widths[i], widths[i + 1])
-        if i < len(widths) - 2:
+        if norm and i < len(widths) - 2:
             layout += layer_norm_layout(f"{prefix}.n{i}", widths[i + 1])
     return layout
 
 
-def embed_mlp_apply(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
+def mlp_apply(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     """Each hidden layer is one ``T.affine_norm_gelu`` node, the bytes of
-    ``affine`` -> ``layer_norm`` -> ``T.gelu``; the last layer is ``affine``."""
+    ``affine`` -> ``layer_norm`` -> ``T.gelu``, or of ``affine`` -> ``T.gelu``
+    when the store holds no layer norm ``prefix.n<i>``; the last layer is
+    ``affine``."""
     n_layers = _depth(store, prefix)
     for i in range(n_layers - 1):
-        name = f"{prefix}.l{i}"
-        x = T.affine_norm_gelu(x, _weight(x, store, name), store[f"{name}.b"],
-                               *_norm_params(store, f"{prefix}.n{i}"), LAYER_NORM_EPS)
+        name, norm = f"{prefix}.l{i}", f"{prefix}.n{i}"
+        gain, bias = _norm_params(store, norm) if f"{norm}.g" in store else (None, None)
+        x = T.affine_norm_gelu(x, _weight(x, store, name), store[f"{name}.b"], gain, bias,
+                               LAYER_NORM_EPS)
     return affine(x, store, f"{prefix}.l{n_layers - 1}")
 
 

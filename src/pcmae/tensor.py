@@ -18,12 +18,12 @@ requires a gradient, so a forward through frozen parameters, such as
 local-probe featurization, skips that work. ``gelu`` keeps its derivative
 Phi(x) + x * phi(x) from the forward, and its backward is one multiply.
 
-An embedding MLP's hidden layer, ``gelu(layer_norm(x @ w + b))``, is one
-node, ``affine_norm_gelu``. Its forward and backward run the private kernels
-that ``affine``, ``layer_norm`` and ``gelu`` run, in the same order, so its
-bytes are the three-node composite's; it keeps only the layer norm's
-``normed`` and ``std`` and GELU's derivative until its backward, where the
-three nodes kept five arrays of its output size.
+Every MLP hidden layer, ``gelu(layer_norm(x @ w + b))`` or ``gelu(x @ w +
+b)``, is one node, ``affine_norm_gelu``. Its forward and backward run the
+private kernels that ``affine``, ``layer_norm`` and ``gelu`` run, in the
+same order, so its bytes are the composite's; it keeps only the layer norm's
+``normed`` and ``std`` and GELU's derivative until its backward. No model
+path calls ``gelu``; it is the composite the tests check the node against.
 
 Gradient ownership: a closure that computes a fresh array for one parent
 passes ``fresh=True`` to ``_accumulate``, and the parent keeps that array as
@@ -641,25 +641,30 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
 
 
 def affine_norm_gelu(x, w, b, gain, bias, eps: float) -> Tensor:
-    """``gelu(layer_norm(affine(x, w, b), gain, bias, eps))``, an embedding
-    MLP's hidden layer, as one node. It runs the kernels of ``affine``,
+    """``gelu(layer_norm(affine(x, w, b), gain, bias, eps))``, an MLP's hidden
+    layer, as one node; with ``gain`` None there is no layer norm, and it is
+    ``gelu(affine(x, w, b))``. It runs the kernels of ``affine``,
     ``layer_norm`` and ``gelu`` in their order, so its output and every
     gradient are the composite's bytes, but it keeps only the layer norm's
     ``normed`` and ``std`` and GELU's derivative for its backward, where the
-    composite's three nodes keep the affine output, ``normed``, the layer
-    norm's output, Phi and the GELU output."""
-    x, w, b, gain = as_tensor(x), as_tensor(w), as_tensor(b), as_tensor(gain)
-    bias = None if bias is None else as_tensor(bias)
-    parents = (x, w, b, gain) if bias is None else (x, w, b, gain, bias)
-    y, normed, std = _layer_norm_forward(_affine_forward(x.data, w.data, b.data), gain, bias,
-                                         eps)
+    composite's nodes keep the affine output, ``normed``, the layer norm's
+    output, Phi and the GELU output."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    parents = (x, w, b)
+    y = _affine_forward(x.data, w.data, b.data)
+    if gain is not None:
+        gain = as_tensor(gain)
+        bias = None if bias is None else as_tensor(bias)
+        parents += (gain,) if bias is None else (gain, bias)
+        y, normed, std = _layer_norm_forward(y, gain, bias, eps)
     data, deriv = _gelu_forward(y, any(p.requires_grad for p in parents))
     clouds = _clouds(x)
     affine_grad = x.requires_grad or w.requires_grad or b.requires_grad
 
     def bw(g):
-        np.multiply(g, deriv, out=deriv)        # a graph runs once
-        gh = _layer_norm_backward(deriv, gain, bias, normed, std, clouds, affine_grad)
+        gh = np.multiply(g, deriv, out=deriv)   # a graph runs once
+        if gain is not None:
+            gh = _layer_norm_backward(gh, gain, bias, normed, std, clouds, affine_grad)
         if gh is not None:
             _affine_backward(gh, x, w, b, clouds)
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .geometry import PatchSet
-from .layers import embed_mlp_apply, embed_mlp_layout, mlp_apply, mlp_layout
+from .layers import mlp_apply, mlp_layout
 from .tensor import ParamStore, Tensor
 
 
@@ -53,18 +53,18 @@ def _fuse_widths(cfg: ModelConfig):
 
 
 def gate_layout(cfg: ModelConfig) -> list:
-    return (embed_mlp_layout("gate.patch_embed", _patch_widths(cfg))
-            + embed_mlp_layout("gate.desc_embed", _desc_widths(cfg))
+    return (mlp_layout("gate.patch_embed", _patch_widths(cfg), norm=True)
+            + mlp_layout("gate.desc_embed", _desc_widths(cfg), norm=True)
             + mlp_layout("gate.ca", _ca_widths(cfg))
             + mlp_layout("gate.sa", _SA_WIDTHS)
-            + embed_mlp_layout("gate.fuse", _fuse_widths(cfg)))
+            + mlp_layout("gate.fuse", _fuse_widths(cfg), norm=True))
 
 
 def embed_patch_points(patches: Tensor | np.ndarray, store: ParamStore) -> Tensor:
     """Shared per-point MLP over centered neighbourhoods [..., g, k, 3] ->
     [..., g, k, c_p]."""
     x = T.as_tensor(patches)
-    return embed_mlp_apply(x, store, "gate.patch_embed")
+    return mlp_apply(x, store, "gate.patch_embed")
 
 
 def embed_descriptor(descriptors: Tensor | np.ndarray, store: ParamStore,
@@ -73,7 +73,7 @@ def embed_descriptor(descriptors: Tensor | np.ndarray, store: ParamStore,
     x = T.as_tensor(descriptors)
     if x.shape[-1] != 3 * cfg.bins:
         raise ValueError(f"descriptor length must be {3 * cfg.bins}")
-    return embed_mlp_apply(x, store, "gate.desc_embed")
+    return mlp_apply(x, store, "gate.desc_embed")
 
 
 def adaptive_saliency(p_t: Tensor, store: ParamStore) -> tuple[SaliencyWeights, Tensor]:
@@ -112,7 +112,7 @@ def latent_tokens(p_t: Tensor, s_t: Tensor, d_t: Tensor, centers: np.ndarray,
     c_d = d_t.shape[-1]
     d_rep = T.broadcast_to(d_t.reshape((*lead, 1, c_d)), (*lead, k, c_d))
     fused = T.concat([p_t, s_t, d_rep], axis=-1)
-    fused = embed_mlp_apply(fused, store, "gate.fuse")
+    fused = mlp_apply(fused, store, "gate.fuse")
     tokens = fused.max(axis=-2)
     return TokenSequence(tokens, np.asarray(centers, dtype=np.float64))
 

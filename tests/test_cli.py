@@ -10,7 +10,7 @@ import pytest
 from pcmae import tensor as T
 from pcmae import training
 from pcmae.cli import EXIT_DATA, EXIT_NUMERIC, main
-from pcmae.config import ModelConfig, TrainConfig
+from pcmae.config import FinetuneProtocol, ModelConfig, TrainConfig
 from pcmae.dataio import (load_checkpoint, load_dataset, load_model_checkpoint, load_xyz,
                           save_checkpoint, save_dataset, save_xyz, synth_shapes)
 from pcmae.geometry import (PointCloud, build_patches, estimate_normals, normalize_cloud,
@@ -344,6 +344,20 @@ class TestExitCodes:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr_max", "nan"), ("lr_max", "inf"), ("lr_min", "-1e-6"), ("weight_decay", "-5"),
+        ("beta1", "-0.1"), ("beta1", "1"), ("beta2", "1"), ("eps", "0"), ("eps", "-1e-8"),
+        ("label_smoothing", "-0.1"), ("label_smoothing", "1"), ("label_smoothing", "3")])
+    def test_out_of_range_training_key_is_config_error(self, key, value, dataset, config_file,
+                                                       tmp_path, capsys):
+        # these once trained and then exited 3 on a non-finite loss, or exited 0
+        rc = main(["pretrain", "--dataset", str(dataset), "--config", str(config_file),
+                   "--set", f"{key}={value}", "--epochs", "1", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"config error: {key} must ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag", ["--n", "--m", "--episodes", "--test-per-class"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_fewshot_count_below_one_is_usage_error(self, flag, value, few_dataset,
@@ -384,6 +398,28 @@ class TestExitCodes:
         bad.write_bytes(b"XXXX" + b"\x00" * 64)
         rc = main(["eval", "--dataset", str(dataset), "--checkpoint", str(bad)])
         assert rc == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"head": "nonlinear"}, "tensor 'cls.l0.w' has shape (48, 2), expected (48, 256)"),
+        ({"scope": None}, "protocol key 'scope' is missing"),
+        ({"num_classes": 7}, "tensor 'cls.l0.w' has shape (48, 2), expected (48, 7)"),
+    ], ids=["nonlinear_over_linear_head", "no_scope", "seven_classes_over_two"])
+    def test_mismatched_classifier_checkpoint_is_data_error(self, dataset, tmp_path, capsys,
+                                                            edit, message):
+        # the first two once ended in KeyError tracebacks and exit 1; the
+        # third evaluated a 2-class head as a 7-class one and exited 0
+        store = init_pretrain_params(TINY, seed=0)
+        store.draw(training.classifier_layout(TINY, FinetuneProtocol(num_classes=2)),
+                   np.random.default_rng(1))
+        protocol = {key: value for key, value in {"scope": "local", "head": "linear",
+                                                  "num_classes": 2, **edit}.items()
+                    if value is not None}
+        path = tmp_path / "classifier.ckpt"
+        save_checkpoint(path, store, TINY, TrainConfig(),
+                        extra={"protocol": protocol, "classes": ["cube", "sphere"]})
+        rc = main(["eval", "--dataset", str(dataset), "--checkpoint", str(path)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {path}: {message}\n"
 
     def test_config_mismatch_is_data_error(self, dataset, pretrain_ckpt, tmp_path):
         # defaults (d=384) disagree with the tiny checkpoint

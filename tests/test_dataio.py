@@ -356,6 +356,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="corrupt config block"):
             load_checkpoint(path)
 
+    def test_duplicate_tensor_rejected(self, tmp_path):
+        # a name listed twice once loaded without complaint, the second
+        # payload replacing the first
+        store = init_pretrain_params(TINY, seed=9)
+        store.add("cls.l0.w", np.ones((TINY.feature_dim, 3)))
+        store.add("cls.l1.w", np.zeros((TINY.feature_dim, 3)))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, store, TINY, TrainConfig())
+        path.write_bytes(path.read_bytes().replace(b"cls.l1.w", b"cls.l0.w"))
+        with pytest.raises(CheckpointError, match="duplicate tensor 'cls.l0.w'"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("edit, message", [
         ("drop enc.ln.g", "missing tensor 'enc.ln.g'"),
         ("reshape head.w", r"tensor 'head.w' has shape \(24, 25\), expected \(24, 24\)"),

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from pcmae import tensor as T
-from pcmae.config import ModelConfig
+from pcmae.config import FinetuneProtocol, ModelConfig
+from pcmae.dataio import synth_shapes
 from pcmae.gradcheck import check_param_gradients, finite_difference_check
 from pcmae.layers import (LAYER_NORM_EPS, cross_entropy, dropout, layer_norm,
                           layer_norm_layout, mlp_apply, mlp_layout)
-from pcmae.pipeline import pretrain_layout
+from pcmae.pipeline import (extract_global_feature_t, init_pretrain_params,
+                            pretrain_forward, pretrain_layout)
 from pcmae.selfcheck import TINY
 from pcmae.tensor import ParamStore, Tensor, trunc_normal
+from pcmae.training import classifier_forward, classifier_layout
 from test_training import BENCH_TINY
 
 
@@ -314,6 +317,94 @@ class TestAffineNormGelu:
             store["x"], store["w"], store["b"], store["g"], s, LAYER_NORM_EPS)
             * store["r"]).sum(), store)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("per_cloud", [False, True])
+    @pytest.mark.parametrize("config", ["selfcheck", "bench", "default"])
+    def test_no_norm_bytes_equal_affine_gelu(self, config, per_cloud):
+        # the output and the x, w and b gradients at each hidden width without
+        # a norm: the transformer feed-forward d -> 4d and the saliency gates
+        # c_p -> c_p/8 and 1 -> 8
+        cfg = self.CONFIGS[config]
+        widths = plain_hidden_widths(cfg)
+        assert widths == sorted({(cfg.d, cfg.d * cfg.mlp_ratio), (cfg.c_p, cfg.c_p // 8), (1, 8)})
+        for i, (c_in, c_out) in enumerate(widths):
+            vals = self._values(c_in, c_out, 50 + i)
+            fused = self._run(fused_plain_layer, vals, False, per_cloud)
+            composite = self._run(composite_plain_layer, vals, False, per_cloud)
+            assert sorted(fused[1]) == ["b", "w", "x"]
+            assert fused == composite, (config, c_in, c_out)
+
+    def test_no_norm_frozen_inputs_compute_no_derivative(self, monkeypatch):
+        vals, real, calls = self._values(96, 384, 55), np.exp, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted)
+        args = [Tensor(vals[k]) for k in ("x", "w", "b")]
+        frozen = T.affine_norm_gelu(*args, None, None, LAYER_NORM_EPS)
+        assert calls == [] and frozen._backward is None
+        args[0] = Tensor(vals["x"], requires_grad=True)
+        trained = T.affine_norm_gelu(*args, None, None, LAYER_NORM_EPS)
+        assert len(calls) == 1
+        assert trained.data.tobytes() == frozen.data.tobytes()
+
+    def test_no_norm_gradient_against_finite_differences(self):
+        store = ParamStore()
+        for name, v in self._values(4, 6, 56, np.float64, lead=(2, 3)).items():
+            if name not in ("g", "s"):
+                store.add(name, v)
+        store.set_trainable("r", False)
+        err = check_param_gradients(lambda: (T.affine_norm_gelu(
+            store["x"], store["w"], store["b"], None, None, LAYER_NORM_EPS)
+            * store["r"]).sum(), store)
+        assert err < 1e-4
+
+
+def plain_hidden_widths(cfg):
+    """(c_in, c_out) of every MLP hidden layer at ``cfg`` without a norm: each
+    affine ``<prefix>.l<i>`` that another layer follows and no layer norm
+    ``<prefix>.n<i>``."""
+    shapes = {name: shape for name, shape, _ in pretrain_layout(cfg)}
+    return sorted({shapes[name] for name in shapes
+                   if (m := re.fullmatch(r"(.+)\.l(\d+)\.w", name))
+                   and f"{m[1]}.l{int(m[2]) + 1}.w" in shapes
+                   and f"{m[1]}.n{m[2]}.g" not in shapes})
+
+
+def composite_plain_layer(x, w, b, gain, bias, eps):
+    """A hidden layer without a norm as two nodes (the unfused oracle)."""
+    return T.gelu(T.affine(x, w, b))
+
+
+def fused_plain_layer(x, w, b, gain, bias, eps):
+    return T.affine_norm_gelu(x, w, b, None, None, eps)
+
+
+class TestNoModelPathCallsGelu:
+    """Every MLP hidden layer of the model is one ``T.affine_norm_gelu``
+    node, so the standalone ``T.gelu`` is left to the tests."""
+
+    def test_forwards_and_heads_run_without_gelu(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model path called T.gelu")
+
+        monkeypatch.setattr(T, "gelu", refuse)
+        items, _ = synth_shapes(["sphere", "cube", "torus"], per_class=1, n_points=TINY.n,
+                                seed=57)
+        clouds = [c for c, _ in items]
+        store = init_pretrain_params(TINY, seed=0)
+        out = pretrain_forward(clouds, TINY, store, [1, 2, 3])
+        out.loss.sum().backward()
+        feats = extract_global_feature_t(clouds, TINY, store)
+        for head in ("linear", "nonlinear"):
+            protocol = FinetuneProtocol(scope="global", head=head, num_classes=3)
+            cls = ParamStore()
+            cls.draw(classifier_layout(TINY, protocol), np.random.default_rng(58))
+            logits = classifier_forward(feats, cls, protocol, training=True,
+                                        rng=np.random.default_rng(59))
+            assert logits.shape == (3, 3)
 
 
 class TestTapeHygiene:
